@@ -36,6 +36,7 @@ from .syntax import (
     ParseError,
     PropVar,
     TRUE,
+    TooDeepError,
     Top,
     UnknownPredicateError,
     Var,

@@ -40,6 +40,8 @@ def _common_flags(sub: argparse.ArgumentParser, seed: bool = True) -> None:
 
 
 def _cmd_fixpoint(args: argparse.Namespace, out: TextIO) -> int:
+    if args.logic == "qgl-sigma" and args.n is not None:
+        raise ValueError("--n applies only to qk-bot")
     f = syntax.parse(_read_formula_arg(args.formula))
     target = syntax.normalize_variables(FixpointTarget(f, args.hole))
     pairs = [("command", "fixpoint"), ("logic", args.logic), ("seed", str(args.seed))]

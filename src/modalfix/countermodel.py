@@ -26,7 +26,6 @@ from .syntax import (
     Atom,
     Bottom,
     Box,
-    Const,
     Exists,
     FixpointTarget,
     Forall,

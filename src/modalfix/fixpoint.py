@@ -31,14 +31,12 @@ from .syntax import (
     NotNormalizedError,
     NotSigmaError,
     Or,
-    PropVar,
     TRUE,
     decompose_boolean_sigma,
     format_formula,
     free_and_bound_vars,
     is_modalized,
     is_sigma,
-    occurrence_depths,
     prop_vars,
     subst_at_depths,
     subst_prop,

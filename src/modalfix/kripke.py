@@ -10,13 +10,19 @@ closure at every world.
 Two evaluators are provided. eval_formula is the plain recursive
 reference; valid_in_model routes closed constant free sentences through
 a bitmask evaluator that computes truth at all worlds at once, which
-the test suite checks against the reference.
+the test suite checks against the reference. The bitmask evaluator
+memoizes each subformula under the values of its free variables, which
+it reads from the facts cached on the formula nodes.
+
+A model caches its successor lists, sorted domains and bitmask tables
+on first use; dataclasses.replace gives a copy whose caches are cold.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -25,7 +31,6 @@ from .syntax import (
     Atom,
     Bottom,
     Box,
-    Const,
     Exists,
     Forall,
     Formula,
@@ -37,9 +42,12 @@ from .syntax import (
     Top,
     Var,
     constants,
-    free_individual_vars,
     universal_closure,
 )
+
+# Most candidate models enumerate_models may consider, and most predicate
+# tuples random_model may draw.
+_BUDGET = 10**7
 
 
 class EvalError(LogicError):
@@ -69,24 +77,25 @@ class KripkeModel:
     sig: dict[str, int] = field(default_factory=dict)
 
     def successors(self, w: int) -> tuple[int, ...]:
-        succ = self._successor_table()
-        return succ[w]
-
-    def _successor_table(self) -> dict[int, tuple[int, ...]]:
-        table = self.__dict__.get("_succ")
-        if table is None:
-            table = {w: () for w in self.worlds}
-            for a, b in sorted(self.rel):
-                table[a] = table[a] + (b,)
-            self.__dict__["_succ"] = table
-        return table
+        return self._succ[w]
 
     def domain_sorted(self, w: int) -> tuple[str, ...]:
-        table = self.__dict__.get("_dom_sorted")
-        if table is None:
-            table = {v: tuple(sorted(self.domains[v], key=_const_key)) for v in self.worlds}
-            self.__dict__["_dom_sorted"] = table
-        return table[w]
+        return self._dom_sorted[w]
+
+    @cached_property
+    def _succ(self) -> dict[int, tuple[int, ...]]:
+        table: dict[int, tuple[int, ...]] = {w: () for w in self.worlds}
+        for a, b in sorted(self.rel):
+            table[a] = table[a] + (b,)
+        return table
+
+    @cached_property
+    def _dom_sorted(self) -> dict[int, tuple[str, ...]]:
+        return {w: tuple(sorted(self.domains[w], key=_const_key)) for w in self.worlds}
+
+    @cached_property
+    def _mask_tables(self) -> _Tables:
+        return _Tables(self)
 
     def facts(self, w: int, pred: str) -> frozenset[tuple[str, ...]]:
         return self.interp.get((w, pred), frozenset())
@@ -225,46 +234,16 @@ class _Tables:
         return mask
 
 
-def _tables(m: KripkeModel) -> _Tables:
-    t = m.__dict__.get("_mask_tables")
-    if t is None:
-        t = _Tables(m)
-        m.__dict__["_mask_tables"] = t
-    return t
-
-
 class _MaskEvaluator:
     def __init__(self, m: KripkeModel):
         self.m = m
-        self.t = _tables(m)
+        self.t = m._mask_tables
         self.memo: dict[tuple[int, tuple[tuple[str, str], ...]], int] = {}
-        self.fv: dict[int, frozenset[str]] = {}
-
-    def freevars(self, f: Formula) -> frozenset[str]:
-        # Bottom-up, so a formula tree is walked once per evaluator
-        # rather than once per node.
-        key = id(f)
-        got = self.fv.get(key)
-        if got is not None:
-            return got
-        if isinstance(f, Atom):
-            out = frozenset(t.name for t in f.args if isinstance(t, Var))
-        elif isinstance(f, (Top, Bottom, PropVar)):
-            out = frozenset()
-        elif isinstance(f, (Not, Box)):
-            out = self.freevars(f.body)
-        elif isinstance(f, (Implies, And, Or)):
-            out = self.freevars(f.left) | self.freevars(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            out = self.freevars(f.body) - {f.var}
-        else:
-            out = free_individual_vars(f)
-        self.fv[key] = out
-        return out
 
     def mask(self, f: Formula, env: dict[str, str]) -> int:
-        fv = self.freevars(f)
-        key = (id(f), tuple((v, env[v]) for v in sorted(fv)))
+        # Keyed by the values of f's free variables only, which are
+        # cached on the node.
+        key = (id(f), tuple((v, env[v]) for v in sorted(f._free_vars)))
         got = self.memo.get(key)
         if got is None:
             got = self._mask(f, env)
@@ -349,7 +328,7 @@ def valid_in_model(m: KripkeModel, f: Formula) -> bool:
         # No short-circuit: a constant missing from some world's domain is
         # an error even when an earlier world already falsified the sentence.
         return all([eval_formula(m, w, closed) for w in m.worlds])
-    return truth_mask(m, closed) == _tables(m).all_mask
+    return truth_mask(m, closed) == m._mask_tables.all_mask
 
 
 def first_failing_world(m: KripkeModel, f: Formula) -> Optional[int]:
@@ -508,6 +487,12 @@ def random_model(spec: ModelGenSpec) -> KripkeModel:
         inbound = [sizes[v] for v in worlds if (v, w) in rel and v in sizes]
         growth = rng.randint(*spec.domain_growth) if inbound else 0
         sizes[w] = max([base] + inbound) + growth
+    # Capping the arity keeps the verdict, since 2**64 is over budget
+    # already, and keeps the arithmetic small for absurd arities.
+    arities = [min(a, 64) for a in spec.signature.values()]
+    drawn = sum(size**a for size in sizes.values() for a in arities)
+    if drawn > _BUDGET:
+        raise BoundExplosionError("predicate tuples to draw exceed 10^7")
     domains = {w: frozenset(f"c{i}" for i in range(sizes[w])) for w in worlds}
 
     interp: dict[tuple[int, str], frozenset[tuple[str, ...]]] = {}
@@ -549,15 +534,14 @@ def enumerate_models(
     if max_worlds < 1 or max_domain < 1:
         raise GenError("bounds must be at least 1")
 
-    budget = 10**7
-    if any(2 ** (k * k) > budget for k in range(1, max_worlds + 1)):
+    if any(2 ** (k * k) > _BUDGET for k in range(1, max_worlds + 1)):
         raise BoundExplosionError("relation candidates alone exceed 10^7")
     estimate = 0
     for k in range(1, max_worlds + 1):
         rels = _candidate_rels(k, require, max_height)
         per_world_interp = 2 ** sum(max_domain ** a for a in sig.values())
         estimate += len(rels) * (2**max_domain - 1) ** k * per_world_interp**k
-        if estimate > budget:
+        if estimate > _BUDGET:
             raise BoundExplosionError(f"estimated model count exceeds 10^7 at {k} worlds")
 
     pool = [f"c{i}" for i in range(max_domain)]

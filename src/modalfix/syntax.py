@@ -8,6 +8,12 @@ substitution holes for the fixed point constructions. The connectives
 guarded fragment recognized by is_sigma is defined structurally in
 terms of them; <-> and dia are parser sugar and never appear in ASTs.
 
+Formulas are immutable DAGs whose stages share subformulas. Their
+scope-free facts (free and bound variables, propositional variables,
+constants, predicate arities, the hash) are computed once per node and
+cached on it, and truncate, subst_at_depths and subst_prop_map share
+one rebuild that visits each (node, box depth) pair once.
+
 Domain constants (Const) never come from the surface grammar. They are
 injected by the model checking code, which instantiates quantifiers
 with elements of a world's domain.
@@ -17,7 +23,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from operator import is_not
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class LogicError(Exception):
@@ -66,6 +74,10 @@ class NotDecomposableError(LogicError):
     code = "not-decomposable"
 
 
+class TooDeepError(LogicError):
+    code = "too-deep"
+
+
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -79,64 +91,173 @@ class Const:
 Term = Union[Var, Const]
 
 
+def _union_fact(name: str) -> cached_property:
+    """A node fact that is the union of the same fact of the children."""
+
+    def union(self: _Node) -> frozenset[str]:
+        sets = [_fact(k, name) for k in self._kids()]
+        # A node with one child shares the child's set.
+        return sets[0] if len(sets) == 1 else frozenset().union(*sets)
+
+    return cached_property(union)
+
+
+class _Node:
+    """Shared base of the formula node classes.
+
+    Each fact is a cached property computed from the same fact of the
+    children, which _fact computes first. The nodes are frozen, so a
+    cached fact cannot go stale; facts take no part in == or repr.
+    """
+
+    def _kids(self) -> tuple[Formula, ...]:
+        return ()
+
+    def _with(self, kids: Sequence[Formula]) -> Formula:
+        """A node like this one with the given children."""
+        return type(self)(*kids)
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        return _fact(self, "_hash") if h is None else h
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles carry the fields only: string hashes, and so
+        # the cached hash, differ between processes.
+        return {name: getattr(self, name) for name in self.__match_args__}
+
+    @cached_property
+    def _hash(self) -> int:
+        # The value of the dataclass hash, over the cached child hashes.
+        return hash(tuple(getattr(self, name) for name in self.__match_args__))
+
+    _free_vars = _union_fact("_free_vars")
+    _bound_vars = _union_fact("_bound_vars")
+    _prop_vars = _union_fact("_prop_vars")
+    _constants = _union_fact("_constants")
+
+    @cached_property
+    def _arities(self) -> tuple[tuple[str, int], ...]:
+        # Distinct (predicate, arity) pairs in order of first occurrence.
+        return tuple(dict.fromkeys(p for k in self._kids() for p in _fact(k, "_arities")))
+
+
+def _fact(f: Formula, name: str):
+    """The cached fact name of f. Missing facts below f are computed
+    children first with an explicit stack, so deep formulas need no
+    recursion depth and shared subformulas are visited once."""
+    if name not in f.__dict__:
+        stack = [f]
+        while stack:
+            todo = [k for k in stack[-1]._kids() if name not in k.__dict__]
+            if todo:
+                stack += todo
+            else:
+                g = stack.pop()
+                # What cached_property.__get__ does, less the lock that
+                # Python 3.11 takes on every miss.
+                g.__dict__[name] = getattr(type(g), name).func(g)
+    return f.__dict__[name]
+
+
+class _Unary(_Node):
+    def _kids(self) -> tuple[Formula, ...]:
+        return (self.body,)
+
+
+class _Binary(_Node):
+    def _kids(self) -> tuple[Formula, ...]:
+        return (self.left, self.right)
+
+
 @dataclass(frozen=True)
-class Top:
+class Top(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Bottom:
+class Bottom(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     pred: str
     args: tuple[Term, ...] = ()
 
+    @cached_property
+    def _free_vars(self) -> frozenset[str]:
+        return frozenset(t.name for t in self.args if isinstance(t, Var))
+
+    @cached_property
+    def _constants(self) -> frozenset[str]:
+        return frozenset(t.name for t in self.args if isinstance(t, Const))
+
+    @cached_property
+    def _arities(self) -> tuple[tuple[str, int], ...]:
+        return ((self.pred, len(self.args)),)
+
 
 @dataclass(frozen=True)
-class PropVar:
+class PropVar(_Node):
     name: str
 
+    @cached_property
+    def _prop_vars(self) -> frozenset[str]:
+        return frozenset((self.name,))
+
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Unary):
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Binary):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Binary):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Binary):
     left: "Formula"
     right: "Formula"
 
 
+class _Binder(_Unary):
+    # Forall and Exists: the facts that the bound variable changes.
+    def _with(self, kids: Sequence[Formula]) -> Formula:
+        return type(self)(self.var, *kids)
+
+    @cached_property
+    def _free_vars(self) -> frozenset[str]:
+        return _fact(self.body, "_free_vars") - {self.var}
+
+    @cached_property
+    def _bound_vars(self) -> frozenset[str]:
+        return _fact(self.body, "_bound_vars") | {self.var}
+
+
 @dataclass(frozen=True)
-class Forall:
+class Forall(_Binder):
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Binder):
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Unary):
     body: "Formula"
 
 
@@ -341,7 +462,10 @@ def parse(text: str, sig: Optional[Mapping[str, int]] = None) -> Formula:
     With a signature, atoms are checked against it; without one, arities
     are inferred from first use and later uses must be consistent.
     """
-    return _Parser(text, sig).parse()
+    try:
+        return _Parser(text, sig).parse()
+    except RecursionError:
+        raise TooDeepError("formula nests too deeply to parse") from None
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +518,8 @@ def format_formula(f: Formula) -> str:
 
 for _cls in (Top, Bottom, Atom, PropVar, Not, Implies, And, Or, Forall, Exists, Box):
     _cls.__str__ = format_formula  # type: ignore[assignment]
+    # The dataclass hash walks the whole tree; this one is cached per node.
+    _cls.__hash__ = _Node.__hash__  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------------
@@ -402,36 +528,16 @@ for _cls in (Top, Bottom, Atom, PropVar, Not, Implies, And, Or, Forall, Exists, 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Yield f and every subformula, outermost first, left to right."""
     yield f
-    if isinstance(f, (Not, Box)):
-        yield from subformulas(f.body)
-    elif isinstance(f, (Implies, And, Or)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from subformulas(f.body)
+    for k in f._kids():
+        yield from subformulas(k)
 
 
 def free_individual_vars(f: Formula) -> frozenset[str]:
-    def go(f: Formula, scope: frozenset[str]) -> frozenset[str]:
-        if isinstance(f, Atom):
-            return frozenset(t.name for t in f.args if isinstance(t, Var) and t.name not in scope)
-        if isinstance(f, (Not, Box)):
-            return go(f.body, scope)
-        if isinstance(f, (Implies, And, Or)):
-            return go(f.left, scope) | go(f.right, scope)
-        if isinstance(f, (Forall, Exists)):
-            return go(f.body, scope | {f.var})
-        return frozenset()
-
-    return go(f, frozenset())
+    return _fact(f, "_free_vars")
 
 
 def bound_individual_vars(f: Formula) -> frozenset[str]:
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, (Forall, Exists)):
-            out.add(g.var)
-    return frozenset(out)
+    return _fact(f, "_bound_vars")
 
 
 def free_and_bound_vars(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
@@ -440,27 +546,19 @@ def free_and_bound_vars(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
 
 
 def prop_vars(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, PropVar))
+    return _fact(f, "_prop_vars")
 
 
 def constants(f: Formula) -> frozenset[str]:
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            out.update(t.name for t in g.args if isinstance(t, Const))
-    return frozenset(out)
+    return _fact(f, "_constants")
 
 
 def predicates(f: Formula) -> dict[str, int]:
     """Predicate symbols of f with their arities; usage must be consistent."""
     out: dict[str, int] = {}
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            if g.pred in out and out[g.pred] != len(g.args):
-                raise ArityMismatchError(
-                    f"predicate {g.pred} used with arities {out[g.pred]} and {len(g.args)}"
-                )
-            out[g.pred] = len(g.args)
+    for pred, arity in _fact(f, "_arities"):
+        if out.setdefault(pred, arity) != arity:
+            raise ArityMismatchError(f"predicate {pred} used with arities {out[pred]} and {arity}")
     return out
 
 
@@ -498,28 +596,15 @@ def normalize_variables(target: FixpointTarget) -> FixpointTarget:
                 Var(active[t.name]) if isinstance(t, Var) and t.name in active else t for t in f.args
             )
             return Atom(f.pred, args)
-        if isinstance(f, Not):
-            return Not(go(f.body, active))
-        if isinstance(f, Box):
-            return Box(go(f.body, active))
-        if isinstance(f, Implies):
-            return Implies(go(f.left, active), go(f.right, active))
-        if isinstance(f, And):
-            return And(go(f.left, active), go(f.right, active))
-        if isinstance(f, Or):
-            return Or(go(f.left, active), go(f.right, active))
-        if isinstance(f, (Forall, Exists)):
+        if isinstance(f, _Binder):
+            inner = {k: v for k, v in active.items() if k != f.var}
             if f.var in renames:
-                inner = dict(active)
                 inner[f.var] = renames[f.var]
-                body = go(f.body, inner)
-                new_var = renames[f.var]
-            else:
-                inner = {k: v for k, v in active.items() if k != f.var}
-                body = go(f.body, inner)
-                new_var = f.var
-            return Forall(new_var, body) if isinstance(f, Forall) else Exists(new_var, body)
-        return f
+            return type(f)(renames.get(f.var, f.var), go(f.body, inner))
+        new_kids = []
+        for k in f._kids():  # a loop, not a comprehension: one frame per level
+            new_kids.append(go(k, active))
+        return f._with(new_kids) if new_kids else f
 
     return FixpointTarget(go(f, {}), target.hole)
 
@@ -532,18 +617,10 @@ def occurrence_depths(f: Formula, hole: str) -> list[int]:
     out: list[int] = []
 
     def go(f: Formula, d: int) -> None:
-        if isinstance(f, PropVar):
-            if f.name == hole:
-                out.append(d)
-        elif isinstance(f, Not):
-            go(f.body, d)
-        elif isinstance(f, Box):
-            go(f.body, d + 1)
-        elif isinstance(f, (Implies, And, Or)):
-            go(f.left, d)
-            go(f.right, d)
-        elif isinstance(f, (Forall, Exists)):
-            go(f.body, d)
+        if isinstance(f, PropVar) and f.name == hole:
+            out.append(d)
+        for k in f._kids():
+            go(k, d + 1 if isinstance(f, Box) else d)
 
     go(f, 0)
     return out
@@ -551,7 +628,38 @@ def occurrence_depths(f: Formula, hole: str) -> list[int]:
 
 def is_modalized(f: Formula, hole: str) -> bool:
     """True when every occurrence of #hole lies under at least one box."""
-    return all(d >= 1 for d in occurrence_depths(f, hole))
+    return hole not in prop_vars(truncate(f, 0))
+
+
+def _rebuild(f: Formula, leaf: Callable[[Formula, int], Optional[Formula]]) -> Formula:
+    """Rewrite f once per (subformula, box depth), in tree order.
+
+    leaf(g, d) gives the replacement of g at box depth d, or None to
+    rebuild g from its rewritten children. Unchanged subformulas come
+    back as the same object, so results share structure with inputs.
+    """
+    done: dict[tuple[Formula, int], Optional[Formula]] = {}  # None: unchanged
+
+    def go(g: Formula, d: int) -> Formula:
+        new = leaf(g, d)
+        if new is not None:
+            return new
+        kids = g._kids()
+        if not kids:
+            return g
+        if (g, d) in done:
+            new = done[(g, d)]
+        else:
+            dk = d + 1 if isinstance(g, Box) else d
+            new_kids = []
+            for k in kids:  # a loop, not a comprehension: one frame per level
+                new_kids.append(go(k, dk))
+            if any(map(is_not, new_kids, kids)):
+                new = g._with(new_kids)
+            done[(g, d)] = new
+        return g if new is None else new
+
+    return go(f, 0)
 
 
 def truncate(f: Formula, n: int) -> Formula:
@@ -563,33 +671,13 @@ def truncate(f: Formula, n: int) -> Formula:
     """
     if n < 0:
         raise ValueError("truncation depth must be >= 0")
-
-    # Untouched subtrees are returned as the same object, so results of
-    # repeated transformations share structure with their inputs.
-    def go(f: Formula, d: int) -> Formula:
-        if isinstance(f, Box):
-            if d == n:
-                return TRUE
-            b = go(f.body, d + 1)
-            return f if b is f.body else Box(b)
-        if isinstance(f, Not):
-            b = go(f.body, d)
-            return f if b is f.body else Not(b)
-        if isinstance(f, (Implies, And, Or)):
-            left, right = go(f.left, d), go(f.right, d)
-            return f if left is f.left and right is f.right else type(f)(left, right)
-        if isinstance(f, (Forall, Exists)):
-            b = go(f.body, d)
-            return f if b is f.body else type(f)(f.var, b)
-        return f
-
-    return go(f, 0)
+    return _rebuild(f, lambda g, d: TRUE if d == n and isinstance(g, Box) else None)
 
 
 def _check_capture(f: Formula, replacements: Sequence[Formula]) -> None:
-    bound = bound_individual_vars(f)
     for b in replacements:
-        clash = free_individual_vars(b) & bound
+        free = free_individual_vars(b)
+        clash = free & bound_individual_vars(f) if free else free
         if clash:
             raise CaptureError(
                 f"substitution would capture {', '.join(sorted(clash))}; "
@@ -605,51 +693,22 @@ def subst_at_depths(f: Formula, hole: str, subs: Sequence[Formula]) -> Formula:
     """
     _check_capture(f, subs)
 
-    def go(f: Formula, d: int) -> Formula:
-        if isinstance(f, PropVar):
-            if f.name != hole:
-                return f
-            if d >= len(subs):
-                raise DepthOverflowError(
-                    f"occurrence of #{hole} at depth {d} but only {len(subs)} substituends given"
-                )
-            return subs[d]
-        if isinstance(f, Box):
-            b = go(f.body, d + 1)
-            return f if b is f.body else Box(b)
-        if isinstance(f, Not):
-            b = go(f.body, d)
-            return f if b is f.body else Not(b)
-        if isinstance(f, (Implies, And, Or)):
-            left, right = go(f.left, d), go(f.right, d)
-            return f if left is f.left and right is f.right else type(f)(left, right)
-        if isinstance(f, (Forall, Exists)):
-            b = go(f.body, d)
-            return f if b is f.body else type(f)(f.var, b)
-        return f
+    def leaf(g: Formula, d: int) -> Optional[Formula]:
+        if not (isinstance(g, PropVar) and g.name == hole):
+            return None
+        if d >= len(subs):
+            raise DepthOverflowError(
+                f"occurrence of #{hole} at depth {d} but only {len(subs)} substituends given"
+            )
+        return subs[d]
 
-    return go(f, 0)
+    return _rebuild(f, leaf)
 
 
 def subst_prop_map(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Substitute formulas for propositional variables, simultaneously."""
     _check_capture(f, list(mapping.values()))
-
-    def go(f: Formula) -> Formula:
-        if isinstance(f, PropVar):
-            return mapping.get(f.name, f)
-        if isinstance(f, (Box, Not)):
-            b = go(f.body)
-            return f if b is f.body else type(f)(b)
-        if isinstance(f, (Implies, And, Or)):
-            left, right = go(f.left), go(f.right)
-            return f if left is f.left and right is f.right else type(f)(left, right)
-        if isinstance(f, (Forall, Exists)):
-            b = go(f.body)
-            return f if b is f.body else type(f)(f.var, b)
-        return f
-
-    return go(f)
+    return _rebuild(f, lambda g, d: mapping.get(g.name) if isinstance(g, PropVar) else None)
 
 
 def subst_prop(f: Formula, hole: str, b: Formula) -> Formula:
@@ -733,14 +792,8 @@ def decompose_boolean_sigma(target: FixpointTarget) -> BooleanDecomposition:
             return slot(g, rest, rest_vars, rest_names)
         if is_sigma(g):
             return slot(g, sigmas, sigma_vars, sigma_names)
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, Implies):
-            return Implies(go(g.left), go(g.right))
-        if isinstance(g, And):
-            return And(go(g.left), go(g.right))
-        if isinstance(g, Or):
-            return Or(go(g.left), go(g.right))
+        if isinstance(g, (Not, Implies, And, Or)):
+            return g._with(list(map(go, g._kids())))  # one frame per level
         raise NotDecomposableError(
             f"#{hole} occurs in {format_formula(g)}, which is neither guarded "
             "nor a Boolean combination"

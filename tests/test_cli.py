@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from modalfix import cli
 from modalfix.countermodel import chain_model
 from modalfix.kripke import parse_model
 
@@ -62,12 +63,24 @@ def test_fixpoint_errors():
     assert proc.stderr.startswith("error: invalid-argument: ")
     proc = run_cli("fixpoint", "--logic", "qgl-sigma", "forall u. box (#p -> P(u))", expect=1)
     assert proc.stderr.startswith("error: not-decomposable: ")
+    proc = run_cli("fixpoint", "--logic", "qgl-sigma", "--n", "3", "~box #p", expect=1)
+    assert proc.stderr.startswith("error: invalid-argument: ")
+    assert proc.stdout == ""
 
 
 def test_parse_error_is_single_line(tmp_path):
     proc = run_cli("fixpoint", "--logic", "qgl-sigma", "box (#p ->", expect=1)
     assert proc.stderr.startswith("error: parse-error: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_deep_nesting_is_a_single_error_line(capsys):
+    code = cli.main(["fixpoint", "~" * 5000 + "box #p", "--logic", "qk-bot", "--n", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: too-deep: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_formula_from_file(tmp_path):
@@ -189,6 +202,13 @@ def test_gen_model_deterministic_and_parseable():
 def test_gen_model_bad_pred_flag():
     proc = run_cli("gen-model", "--pred", "P", expect=1)
     assert proc.stderr.startswith("error: invalid-argument: ")
+
+
+def test_gen_model_over_budget_fails_fast():
+    proc = run_cli("gen-model", "--pred", "P:30", "--domain-base", "2:2", expect=1)
+    assert proc.stderr.startswith("error: bound-explosion: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_gen_model_unsatisfiable_spec():

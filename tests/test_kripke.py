@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from modalfix.kripke import (
@@ -55,6 +57,15 @@ def test_validate_reports_violations():
     assert "Q" in msgs  # undeclared predicate
     assert "arity" in msgs  # P is unary but gets a pair
     assert validate_model(KripkeModel((), frozenset(), {}, {}, {})) != []
+
+
+def test_replace_gives_a_model_with_cold_caches():
+    m = two_chain()
+    assert valid_in_model(m, parse("forall u. (box P(u) | ~box P(u))"))
+    fields = {f.name for f in dataclasses.fields(m)}
+    assert set(vars(m)) > fields
+    fresh = dataclasses.replace(m)
+    assert fresh == m and set(vars(fresh)) == fields
 
 
 def test_eval_formula_basics():
@@ -205,6 +216,11 @@ def test_random_model_rejects_bad_spec():
         random_model(spec(truth_density=1.5))
     with pytest.raises(GenError):
         random_model(spec(require=frozenset({"serial"})))
+    # Over the 10^7 budget: raised before any tuple is drawn.
+    with pytest.raises(BoundExplosionError):
+        random_model(spec(signature={"P": 30}, domain_base_size=(2, 2)))
+    with pytest.raises(BoundExplosionError):
+        random_model(spec(signature={"P": 10**9}, domain_base_size=(2, 2)))
 
 
 # ---------------------------------------------------------------------------

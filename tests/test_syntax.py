@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from modalfix.fixpoint import fixpoint_qk
 from modalfix.syntax import (
     And,
     ArityMismatchError,
@@ -22,10 +23,13 @@ from modalfix.syntax import (
     ParseError,
     PropVar,
     TRUE,
+    TooDeepError,
     Top,
     UnknownPredicateError,
     Var,
     bound_individual_vars,
+    boxes,
+    constants,
     decompose_boolean_sigma,
     format_formula,
     free_and_bound_vars,
@@ -36,6 +40,7 @@ from modalfix.syntax import (
     occurrence_depths,
     parse,
     predicates,
+    prop_vars,
     subst_at_depths,
     subst_prop,
     truncate,
@@ -107,6 +112,13 @@ def test_parse_errors_carry_position():
         parse("#p $ #q")
     with pytest.raises(ParseError):
         parse("forall box. P(u)")
+
+
+def test_deep_nesting_raises_too_deep():
+    for text in ["~" * 5000 + "R", "(" * 1000 + "R" + ")" * 1000]:
+        with pytest.raises(TooDeepError) as e:
+            parse(text)
+        assert e.value.code == "too-deep"
 
 
 def test_signature_checking():
@@ -253,3 +265,94 @@ def test_universal_closure_sorted():
 def test_predicates():
     assert predicates(_worked()) == {"Q": 1}
     assert predicates(parse("R & P(u, v)")) == {"R": 0, "P": 2}
+
+
+def test_predicates_reports_the_first_clash_in_tree_order():
+    u = (Var("u"),)
+    f = And(Atom("P", u), And(Atom("Q"), And(Atom("P"), Atom("Q", u))))
+    with pytest.raises(ArityMismatchError, match="predicate P used with arities 1 and 0"):
+        predicates(f)
+
+
+# A DAG whose tree has 2**64 nodes: every walk must visit nodes, not paths.
+def _doubled(base, times=64):
+    g = base
+    for _ in range(times):
+        g = And(g, g)
+    return g
+
+
+def _dag_size(f) -> int:
+    seen, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            stack += [getattr(g, a) for a in ("body", "left", "right") if hasattr(g, a)]
+    return len(seen)
+
+
+def _spine_bottom(f):
+    while isinstance(f, And):
+        assert f.left is f.right
+        f = f.left
+    return f
+
+
+BASE = Box(Implies(PropVar("p"), Atom("P", (Var("x"),))))
+
+
+def test_facts_of_a_shared_dag():
+    g = _doubled(BASE)
+    assert free_individual_vars(g) == frozenset({"x"})
+    assert bound_individual_vars(g) == frozenset()
+    assert free_and_bound_vars(g) == (frozenset({"x"}), frozenset())
+    assert prop_vars(g) == frozenset({"p"})
+    assert constants(g) == frozenset()
+    assert predicates(g) == {"P": 1}
+    closed = universal_closure(g)
+    assert isinstance(closed, Forall) and closed.var == "x" and closed.body is g
+    assert is_modalized(g, "p")
+    assert not is_modalized(_doubled(BASE.body), "p")
+
+
+def test_rewrites_of_a_shared_dag_stay_linear():
+    g = _doubled(BASE)
+    assert truncate(g, 1) is g
+    cut = truncate(g, 0)
+    assert _spine_bottom(cut) == TRUE
+    filled = subst_prop(g, "p", TRUE)
+    assert _spine_bottom(filled) == Box(Implies(TRUE, Atom("P", (Var("x"),))))
+    for h in (cut, filled):
+        assert _dag_size(h) <= 64 + 4
+
+
+def test_staged_construction_is_linear_in_n():
+    trace = fixpoint_qk(FixpointTarget(parse("box #p & box ~#p"), "p"), 40)
+    assert len(trace.stages) == 41
+    assert _dag_size(trace.result) <= 4 * 41 + 2
+
+
+def test_cached_facts_do_not_change_identity_semantics():
+    used, fresh = _worked(), _worked()
+    free_and_bound_vars(used), prop_vars(used), constants(used), predicates(used), hash(used)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+
+
+def test_deep_chain_needs_no_recursion_depth():
+    f = boxes(600, Implies(PropVar("p"), Atom("P", (Var("x"),))))
+    assert free_individual_vars(f) == frozenset({"x"})
+    assert prop_vars(f) == frozenset({"p"})
+    assert predicates(f) == {"P": 1}
+    assert universal_closure(f).body is f
+    assert is_modalized(f, "p")
+    assert truncate(f, 600) is f
+    assert _dag_size(truncate(f, 300)) == 301
+    assert _dag_size(subst_prop(f, "p", TRUE)) == 600 + 3
+    assert occurrence_depths(f, "p") == [600]
+    clash = And(boxes(600, Atom("P", (Var("u"),))), Forall("u", Atom("Q", (Var("u"),))))
+    assert bound_individual_vars(normalize_variables(FixpointTarget(clash, "p")).formula) == {"u0"}
+    negated = parse("~" * 600 + "box #p")
+    assert decompose_boolean_sigma(FixpointTarget(negated, "p")).sigmas == (Box(PropVar("p")),)
