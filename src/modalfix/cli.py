@@ -94,6 +94,8 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_verify_fixpoint(args: argparse.Namespace, out: TextIO) -> int:
+    if args.random < 0:
+        raise ValueError("--random must be >= 0")
     f = syntax.parse(_read_formula_arg(args.formula))
     target = syntax.normalize_variables(FixpointTarget(f, args.hole))
     trace = fixpoint.fixpoint_qk(target, args.n)
@@ -283,6 +285,11 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
         return 1
     except OSError as e:
         print(f"error: io-error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # Formulas the parser accepts can still nest too deeply for the
+        # recursive printer and evaluators.
+        print("error: too-deep: formula nests too deeply", file=sys.stderr)
         return 1
 
 

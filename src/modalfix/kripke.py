@@ -10,9 +10,11 @@ closure at every world.
 Two evaluators are provided. eval_formula is the plain recursive
 reference; valid_in_model routes closed constant free sentences through
 a bitmask evaluator that computes truth at all worlds at once, which
-the test suite checks against the reference. The bitmask evaluator
-memoizes each subformula under the values of its free variables, which
-it reads from the facts cached on the formula nodes.
+the test suite checks against the reference. The bitmask evaluator takes
+sentences only. It memoizes each subformula under its node identity,
+plus the values of its free variables (read from the facts cached on
+the node) when it has any, and reads atoms from a table of fact masks
+that each model builds once.
 
 A model caches its successor lists, sorted domains and bitmask tables
 on first use; dataclasses.replace gives a copy whose caches are cold.
@@ -205,9 +207,8 @@ def _eval(m: KripkeModel, w: int, f: Formula, env: dict[str, str]) -> bool:
 
 class _Tables:
     def __init__(self, m: KripkeModel):
-        self.n = len(m.worlds)
         self.index = {w: i for i, w in enumerate(m.worlds)}
-        self.all_mask = (1 << self.n) - 1
+        self.all_mask = (1 << len(m.worlds)) - 1
         self.succ_masks = []
         for w in m.worlds:
             mask = 0
@@ -225,89 +226,117 @@ class _Tables:
                 if c in m.domains[w]:
                     mask |= 1 << i
             self.const_masks[c] = mask
-
-    def fact_mask(self, m: KripkeModel, pred: str, args: tuple[str, ...]) -> int:
-        mask = 0
-        for i, w in enumerate(m.worlds):
-            if args in m.facts(w, pred):
-                mask |= 1 << i
-        return mask
+        # Worlds where pred holds of args, keyed by (pred, args); entries
+        # for worlds outside m.worlds are ignored.
+        self.fact_masks: dict[tuple[str, tuple[str, ...]], int] = {}
+        for (w, pred), tuples in m.interp.items():
+            if w in self.index:
+                for args in tuples:
+                    key = (pred, args)
+                    self.fact_masks[key] = self.fact_masks.get(key, 0) | 1 << self.index[w]
 
 
 class _MaskEvaluator:
     def __init__(self, m: KripkeModel):
-        self.m = m
         self.t = m._mask_tables
-        self.memo: dict[tuple[int, tuple[tuple[str, str], ...]], int] = {}
+        self.memo: dict[object, int] = {}
 
     def mask(self, f: Formula, env: dict[str, str]) -> int:
-        # Keyed by the values of f's free variables only, which are
-        # cached on the node.
-        key = (id(f), tuple((v, env[v]) for v in sorted(f._free_vars)))
+        # Keyed by node identity, plus the values of f's free variables
+        # (cached on the node) in name order when it has any.
+        fv = f._free_vars
+        key = (id(f), *[env[v] for v in sorted(fv)]) if fv else id(f)
         got = self.memo.get(key)
         if got is None:
-            got = self._mask(f, env)
-            self.memo[key] = got
+            got = self.memo[key] = _HANDLERS.get(type(f), _MaskEvaluator._other)(self, f, env)
         return got
 
-    def _mask(self, f: Formula, env: dict[str, str]) -> int:
+    def _top(self, f: Top, env: dict[str, str]) -> int:
+        return self.t.all_mask
+
+    def _bottom(self, f: Bottom, env: dict[str, str]) -> int:
+        return 0
+
+    def _atom(self, f: Atom, env: dict[str, str]) -> int:
         t = self.t
-        if isinstance(f, Top):
-            return t.all_mask
-        if isinstance(f, Bottom):
-            return 0
-        if isinstance(f, Atom):
-            args = []
-            guard = t.all_mask
-            for term in f.args:
-                if isinstance(term, Var):
-                    if term.name not in env:
-                        raise EvalError(f"unbound variable {term.name}")
-                    c = env[term.name]
-                else:
-                    c = term.name
-                args.append(c)
-                guard &= t.const_masks.get(c, 0)
-            return t.fact_mask(self.m, f.pred, tuple(args)) & guard
-        if isinstance(f, PropVar):
-            raise EvalError(f"propositional variable #{f.name} has no truth value in a model")
-        if isinstance(f, Not):
-            return ~self.mask(f.body, env) & t.all_mask
-        if isinstance(f, Implies):
-            return (~self.mask(f.left, env) | self.mask(f.right, env)) & t.all_mask
-        if isinstance(f, And):
-            return self.mask(f.left, env) & self.mask(f.right, env)
-        if isinstance(f, Or):
-            return self.mask(f.left, env) | self.mask(f.right, env)
-        if isinstance(f, Forall):
-            acc = t.all_mask
-            for c in t.pool:
-                inner = self.mask(f.body, {**env, f.var: c})
-                acc &= inner | ~t.const_masks[c]
-                if not acc:
-                    break
-            return acc & t.all_mask
-        if isinstance(f, Exists):
-            acc = 0
-            for c in t.pool:
-                acc |= self.mask(f.body, {**env, f.var: c}) & t.const_masks[c]
-                if acc == t.all_mask:
-                    break
-            return acc
-        if isinstance(f, Box):
-            inner = self.mask(f.body, env)
-            missing = ~inner
-            acc = 0
-            for i in range(t.n):
-                if not (t.succ_masks[i] & missing):
-                    acc |= 1 << i
-            return acc
+        args = []
+        guard = t.all_mask
+        for term in f.args:
+            c = env[term.name] if isinstance(term, Var) else term.name
+            args.append(c)
+            guard &= t.const_masks.get(c, 0)
+        return t.fact_masks.get((f.pred, tuple(args)), 0) & guard
+
+    def _propvar(self, f: PropVar, env: dict[str, str]) -> int:
+        raise EvalError(f"propositional variable #{f.name} has no truth value in a model")
+
+    def _not(self, f: Not, env: dict[str, str]) -> int:
+        return ~self.mask(f.body, env) & self.t.all_mask
+
+    def _implies(self, f: Implies, env: dict[str, str]) -> int:
+        return (~self.mask(f.left, env) | self.mask(f.right, env)) & self.t.all_mask
+
+    def _and(self, f: And, env: dict[str, str]) -> int:
+        return self.mask(f.left, env) & self.mask(f.right, env)
+
+    def _or(self, f: Or, env: dict[str, str]) -> int:
+        return self.mask(f.left, env) | self.mask(f.right, env)
+
+    def _forall(self, f: Forall, env: dict[str, str]) -> int:
+        t = self.t
+        acc = t.all_mask
+        env = dict(env)
+        for c in t.pool:
+            env[f.var] = c
+            acc &= self.mask(f.body, env) | ~t.const_masks[c]
+            if not acc:
+                break
+        return acc & t.all_mask
+
+    def _exists(self, f: Exists, env: dict[str, str]) -> int:
+        t = self.t
+        acc = 0
+        env = dict(env)
+        for c in t.pool:
+            env[f.var] = c
+            acc |= self.mask(f.body, env) & t.const_masks[c]
+            if acc == t.all_mask:
+                break
+        return acc
+
+    def _box(self, f: Box, env: dict[str, str]) -> int:
+        missing = ~self.mask(f.body, env)
+        acc = 0
+        bit = 1
+        for succ in self.t.succ_masks:
+            if not succ & missing:
+                acc |= bit
+            bit <<= 1
+        return acc
+
+    def _other(self, f: object, env: dict[str, str]) -> int:
         raise TypeError(f"not a formula: {f!r}")
 
 
+# One handler per node class, named after it; any other class is _other.
+_HANDLERS = {
+    cls: getattr(_MaskEvaluator, "_" + cls.__name__.lower())
+    for cls in (Top, Bottom, Atom, PropVar, Not, Implies, And, Or, Forall, Exists, Box)
+}
+
+
+def _sentence(f: Formula) -> Formula:
+    if f._free_vars:
+        raise EvalError(f"unbound variable {min(f._free_vars)}")
+    return f
+
+
 def truth_mask(m: KripkeModel, f: Formula) -> int:
-    """Bitmask of worlds (by position in m.worlds) where the sentence f holds."""
-    return _MaskEvaluator(m).mask(f, {})
+    """Bitmask of worlds (by position in m.worlds) where the sentence f holds.
+
+    A formula with free individual variables raises EvalError.
+    """
+    return _MaskEvaluator(m).mask(_sentence(f), {})
 
 
 def batch_truth_masks(m: KripkeModel, formulas: Sequence[Formula]) -> list[int]:
@@ -318,7 +347,7 @@ def batch_truth_masks(m: KripkeModel, formulas: Sequence[Formula]) -> list[int]:
     verification sweeps over families of related formulas want.
     """
     ev = _MaskEvaluator(m)
-    return [ev.mask(f, {}) for f in formulas]
+    return [ev.mask(_sentence(f), {}) for f in formulas]
 
 
 def valid_in_model(m: KripkeModel, f: Formula) -> bool:

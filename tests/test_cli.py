@@ -83,6 +83,13 @@ def test_deep_nesting_is_a_single_error_line(capsys):
     assert "Traceback" not in err
 
 
+def test_formula_too_deep_for_the_evaluator_is_a_single_error_line():
+    # Within the parser's depth limit, but too deep for the mask evaluator.
+    proc = run_cli("verify-fixpoint", "~" * 975 + "box #p", "--n", "0", expect=1)
+    assert proc.stderr == "error: too-deep: formula nests too deeply\n"
+    assert proc.stdout == ""
+
+
 def test_formula_from_file(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("~box #p\n", encoding="utf-8")
@@ -162,6 +169,15 @@ def test_verify_fixpoint_small_exhaustive():
     assert got["exhaustive.failures"] == "0"
     assert got["random.models"] == "5"
     assert got["verdict"] == "pass"
+
+
+def test_verify_fixpoint_rejects_negative_random():
+    proc = run_cli(
+        "verify-fixpoint", "~box #p", "--n", "1", "--random", "-3", "--max-worlds", "1", expect=1
+    )
+    assert proc.stderr.startswith("error: invalid-argument: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_refute_true():

@@ -13,6 +13,7 @@ from modalfix.kripke import (
     KripkeModel,
     ModelError,
     ModelGenSpec,
+    batch_truth_masks,
     enumerate_models,
     eval_formula,
     first_failing_world,
@@ -21,6 +22,7 @@ from modalfix.kripke import (
     generated_submodel,
     parse_model,
     random_model,
+    truth_mask,
     valid_in_model,
     validate_model,
 )
@@ -107,6 +109,29 @@ def test_validity_uses_universal_closure():
     assert not valid_in_model(m, parse("P(u)"))
     assert first_failing_world(m, parse("P(u)")) == 0
     assert first_failing_world(m, parse("P(u) | ~P(u)")) is None
+
+
+def test_mask_evaluator_takes_sentences_only():
+    m = two_chain()
+    with pytest.raises(EvalError, match="^unbound variable u$"):
+        truth_mask(m, parse("P(u)"))
+    with pytest.raises(EvalError, match="^unbound variable u$"):
+        batch_truth_masks(m, [parse("true"), parse("box P(w) | P(u)")])
+    with pytest.raises(EvalError, match="^unbound variable v$"):
+        truth_mask(m, parse("exists u. (P(u) & P(v))"))
+
+
+def test_masks_ignore_facts_at_unknown_worlds():
+    m = two_chain()
+    stray = dataclasses.replace(m, interp={**m.interp, (2, "P"): frozenset({("a",), ("b",)})})
+    sentences = [
+        parse(text)
+        for text in ("forall u. P(u)", "exists u. ~P(u)", "box forall u. P(u)", "~box false")
+    ]
+    masks = batch_truth_masks(m, sentences)
+    assert masks == [0b10, 0b01, 0b01, 0b10]
+    assert batch_truth_masks(stray, sentences) == masks
+    assert [truth_mask(stray, f) for f in sentences] == masks
 
 
 def test_validity_with_constants_checks_every_world_strictly():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 
 from modalfix.countermodel import chain_model, eval_infinite_chain
 from modalfix.kripke import (
     KripkeModel,
     ModelGenSpec,
+    batch_truth_masks,
     eval_formula,
     generated_submodel,
     random_model,
@@ -161,6 +164,51 @@ def test_mask_evaluator_agrees_with_reference(f: Formula, seed: int):
     mask = truth_mask(m, closed)
     for i, w in enumerate(m.worlds):
         assert eval_formula(m, w, closed) == bool(mask >> i & 1)
+
+
+@st.composite
+def small_models(draw) -> KripkeModel:
+    """Well formed models of 1 to 3 worlds, listed in any order, with any
+    relation: self-loops and cycles included. Domains are drawn per world
+    and then grown along the edges until they are monotone."""
+    k = draw(st.integers(1, 3))
+    worlds = tuple(draw(st.permutations(range(k))))
+    rel = frozenset(draw(st.sets(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds)))))
+    domains = {w: frozenset(draw(st.sets(st.sampled_from(("c0", "c1")), min_size=1))) for w in worlds}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in rel:
+            if not domains[a] <= domains[b]:
+                domains[b] |= domains[a]
+                changed = True
+    sig = {"P": 1, "Q": 1, "R": 0}
+    interp = {}
+    for w in worlds:
+        for pred, arity in sig.items():
+            tuples = list(product(sorted(domains[w]), repeat=arity))
+            chosen = frozenset(draw(st.sets(st.sampled_from(tuples))))
+            if chosen:
+                interp[(w, pred)] = chosen
+    return KripkeModel(worlds, rel, domains, interp, sig)
+
+
+@given(
+    small_models(),
+    formulas(with_hole=False),
+    formulas(with_hole=False),
+    st.lists(st.integers(0, 3), min_size=2, max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_batch_masks_agree_with_reference_on_any_frame(m, f, g, picks):
+    assert validate_model(m) == []
+    # Sentences sharing the subformula objects f and g, open ones included.
+    pool = [f, Not(f), And(f, g), Or(g, Box(f))]
+    sentences = [universal_closure(pool[i]) for i in picks]
+    masks = batch_truth_masks(m, sentences)
+    for s, mask in zip(sentences, masks):
+        for i, w in enumerate(m.worlds):
+            assert eval_formula(m, w, s) == bool(mask >> i & 1)
 
 
 @given(formulas(with_hole=False), st.integers(0, 100))
