@@ -82,13 +82,10 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
             for w in sorted(rep.heights):
                 pairs.append((f"height.{w}", str(rep.heights[w])))
         pairs.append(("classes", ",".join(rep.classes) if rep.classes else "-"))
-    closed = syntax.universal_closure(f)
-    verdicts = []
-    for w in m.worlds:
-        value = kripke.eval_formula(m, w, closed)
-        verdicts.append(value)
-        pairs.append((f"world.{w}", str(value).lower()))
-    pairs.append(("valid", str(all(verdicts)).lower()))
+    mask = kripke.truth_mask(m, syntax.universal_closure(f))
+    for i, w in enumerate(m.worlds):
+        pairs.append((f"world.{w}", str(bool(mask >> i & 1)).lower()))
+    pairs.append(("valid", str(mask == (1 << len(m.worlds)) - 1).lower()))
     _emit(pairs, args.format, out)
     return 0
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .kripke import EvalError, KripkeModel, eval_formula, first_failing_world, valid_in_model
+from .kripke import EvalError, KripkeModel, batch_truth_masks
 from .syntax import (
     And,
     Atom,
@@ -159,8 +159,10 @@ def refutation_table(b: Formula, k_max: int = 8) -> list[RefutationRow]:
     rows: list[RefutationRow] = []
     for k in range(k_max + 1):
         m = chain_model(k)
-        if valid_in_model(m, equation):
-            parity = all(eval_formula(m, n, b) == (n % 2 == 0) for n in m.worlds)
+        # World n of the chain sits at bit n of each mask.
+        holds, b_mask = batch_truth_masks(m, [equation, b])
+        if holds == (1 << len(m.worlds)) - 1:
+            parity = all(bool(b_mask >> n & 1) == (n % 2 == 0) for n in m.worlds)
             if not parity:
                 raise LogicError(
                     "internal error: equation holds but truth does not alternate "
@@ -168,7 +170,8 @@ def refutation_table(b: Formula, k_max: int = 8) -> list[RefutationRow]:
                 )
             rows.append(RefutationRow(k, True, None, parity))
         else:
-            rows.append(RefutationRow(k, False, first_failing_world(m, equation), None))
+            failing = (~holds & (holds + 1)).bit_length() - 1
+            rows.append(RefutationRow(k, False, failing, None))
             break
     return rows
 

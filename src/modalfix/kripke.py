@@ -7,14 +7,16 @@ quantifiers at a world range over that world's domain, box quantifies
 over accessible worlds. Validity in a model is truth of the universal
 closure at every world.
 
-Two evaluators are provided. eval_formula is the plain recursive
-reference; valid_in_model routes closed constant free sentences through
-a bitmask evaluator that computes truth at all worlds at once, which
-the test suite checks against the reference. The bitmask evaluator takes
-sentences only. It memoizes each subformula under its node identity,
-plus the values of its free variables (read from the facts cached on
-the node) when it has any, and reads atoms from a table of fact masks
-that each model builds once.
+Every check runs on one evaluator, truth_mask and batch_truth_masks,
+which computes the truth of a sentence at all worlds at once as a
+bitmask. A sentence has no free variables and no propositional
+variables, and each of its constants lies in every world's domain;
+anything else raises EvalError. The evaluator memoizes each subformula
+under its node identity, plus the values of its free variables (read
+from the facts cached on the node) when it has any, and reads atoms
+from a table of fact masks that each model builds once. eval_formula
+is the plain recursive reference, one world at a time, that the tests
+compare the evaluator against.
 
 A model caches its successor lists, sorted domains and bitmask tables
 on first use; dataclasses.replace gives a copy whose caches are cold.
@@ -43,12 +45,11 @@ from .syntax import (
     PropVar,
     Top,
     Var,
-    constants,
     universal_closure,
 )
 
-# Most candidate models enumerate_models may consider, and most predicate
-# tuples random_model may draw.
+# Most candidate models enumerate_models may consider, and most world
+# pairs and predicate tuples random_model may draw.
 _BUDGET = 10**7
 
 
@@ -207,6 +208,9 @@ def _eval(m: KripkeModel, w: int, f: Formula, env: dict[str, str]) -> bool:
 
 class _Tables:
     def __init__(self, m: KripkeModel):
+        for w in m.worlds:
+            if w not in m.domains:
+                raise EvalError(f"unknown world {w}")
         self.index = {w: i for i, w in enumerate(m.worlds)}
         self.all_mask = (1 << len(m.worlds)) - 1
         self.succ_masks = []
@@ -325,18 +329,27 @@ _HANDLERS = {
 }
 
 
-def _sentence(f: Formula) -> Formula:
+def _sentence(m: KripkeModel, f: Formula) -> Formula:
     if f._free_vars:
         raise EvalError(f"unbound variable {min(f._free_vars)}")
+    if f._constants:
+        # A constant must exist at every world, even where f never reads it.
+        t = m._mask_tables
+        for c in sorted(f._constants, key=_const_key):
+            missing = ~t.const_masks.get(c, 0) & t.all_mask
+            if missing:
+                w = m.worlds[next(_bits(missing))]
+                raise EvalError(f"constant {c} is outside the domain of world {w}")
     return f
 
 
 def truth_mask(m: KripkeModel, f: Formula) -> int:
     """Bitmask of worlds (by position in m.worlds) where the sentence f holds.
 
-    A formula with free individual variables raises EvalError.
+    Anything but a sentence, as the module docstring defines it, raises
+    EvalError.
     """
-    return _MaskEvaluator(m).mask(_sentence(f), {})
+    return _MaskEvaluator(m).mask(_sentence(m, f), {})
 
 
 def batch_truth_masks(m: KripkeModel, formulas: Sequence[Formula]) -> list[int]:
@@ -347,26 +360,21 @@ def batch_truth_masks(m: KripkeModel, formulas: Sequence[Formula]) -> list[int]:
     verification sweeps over families of related formulas want.
     """
     ev = _MaskEvaluator(m)
-    return [ev.mask(_sentence(f), {}) for f in formulas]
+    return [ev.mask(_sentence(m, f), {}) for f in formulas]
 
 
 def valid_in_model(m: KripkeModel, f: Formula) -> bool:
-    """Truth of the universal closure of f at every world of m."""
-    closed = universal_closure(f)
-    if constants(closed):
-        # No short-circuit: a constant missing from some world's domain is
-        # an error even when an earlier world already falsified the sentence.
-        return all([eval_formula(m, w, closed) for w in m.worlds])
-    return truth_mask(m, closed) == m._mask_tables.all_mask
+    """Truth of the universal closure of f at every world of m. EvalError
+    unless the closure is a sentence: no propositional variables, and
+    every constant in every world's domain."""
+    return truth_mask(m, universal_closure(f)) == m._mask_tables.all_mask
 
 
 def first_failing_world(m: KripkeModel, f: Formula) -> Optional[int]:
-    """Least world where the universal closure of f fails, or None."""
-    closed = universal_closure(f)
-    for w in sorted(m.worlds):
-        if not eval_formula(m, w, closed):
-            return w
-    return None
+    """Least world id where the universal closure of f fails, or None;
+    errors as for valid_in_model."""
+    mask = truth_mask(m, universal_closure(f))
+    return min((w for i, w in enumerate(m.worlds) if not mask >> i & 1), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +481,14 @@ class ModelGenSpec:
     seed: int = 0
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _check_range(name: str, r: tuple[int, int], low: int) -> None:
     if r[0] > r[1] or r[0] < low:
         raise GenError(f"{name} range {r} is empty or below {low}")
@@ -492,6 +508,8 @@ def random_model(spec: ModelGenSpec) -> KripkeModel:
 
     rng = random.Random(spec.seed)
     n = rng.randint(*spec.world_count)
+    if n * n > _BUDGET:
+        raise BoundExplosionError("world pairs to draw exceed 10^7")
     worlds = tuple(range(n))
     levels = [rng.randint(0, spec.height_bound) for _ in worlds]
     rel = set()
@@ -500,14 +518,15 @@ def random_model(spec: ModelGenSpec) -> KripkeModel:
             if levels[a] > levels[b] and rng.random() < 0.5:
                 rel.add((a, b))
     if "transitive" in spec.require:
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c, d in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
+        # Edges lead from a higher level to a lower one, so in ascending
+        # level order the successors of a world are closed before it.
+        succ = [0] * n
+        for a, b in rel:
+            succ[a] |= 1 << b
+        for a in sorted(worlds, key=levels.__getitem__):
+            for b in _bits(succ[a]):
+                succ[a] |= succ[b]
+        rel = {(a, b) for a in worlds for b in _bits(succ[a])}
 
     sizes: dict[int, int] = {}
     order = sorted(worlds, key=lambda w: (-levels[w], w))

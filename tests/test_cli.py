@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import subprocess
 import sys
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modalfix import cli
 from modalfix.countermodel import chain_model
@@ -14,11 +18,12 @@ from modalfix.kripke import parse_model
 WORKED = "box (#p -> forall u. (Q(u) -> box #p))"
 
 
-def run_cli(*args: str, expect: int = 0) -> subprocess.CompletedProcess:
+def run_cli(*args: str, expect: int = 0, timeout: Optional[float] = None) -> subprocess.CompletedProcess:
     proc = subprocess.run(
         [sys.executable, "-m", "modalfix", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     assert proc.returncode == expect, f"{args}\nstdout:{proc.stdout}\nstderr:{proc.stderr}"
     return proc
@@ -142,6 +147,15 @@ def test_check_closes_free_variables(m2_path):
     assert as_dict(proc.stdout)["valid"] == "false"
 
 
+def test_check_rejects_propositional_variables_on_every_model(tmp_path):
+    # One world without successors: box #p never reaches #p there.
+    path = tmp_path / "point.model"
+    path.write_text("worlds: 1\ndomain: 0 a\n", encoding="utf-8")
+    proc = run_cli("check", "box #p", "--model", str(path), expect=1)
+    assert proc.stderr == "error: eval-error: propositional variable #p has no truth value in a model\n"
+    assert proc.stdout == ""
+
+
 def test_check_arity_mismatch(m2_path):
     proc = run_cli("check", "P(u, v)", "--model", m2_path, expect=1)
     assert proc.stderr.startswith("error: arity-mismatch: ")
@@ -227,6 +241,17 @@ def test_gen_model_over_budget_fails_fast():
     assert proc.stdout == ""
 
 
+def test_gen_model_transitive_closure_scales():
+    proc = run_cli(
+        "gen-model", "--worlds", "400", "--require", "transitive", "--pred", "P:1", timeout=60
+    )
+    assert parse_model(proc.stdout).worlds == tuple(range(400))
+    proc = run_cli("gen-model", "--worlds", "4000", "--pred", "P:1", expect=1, timeout=60)
+    assert proc.stderr.startswith("error: bound-explosion: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 def test_gen_model_unsatisfiable_spec():
     proc = run_cli("gen-model", "--worlds", "3:2", expect=1)
     assert proc.stderr.startswith("error: unsatisfiable-spec: ")
@@ -246,3 +271,125 @@ def test_reruns_are_byte_identical():
         ("verify-fixpoint", "~box #p", "--n", "0", "--random", "3", "--format", "lines"),
     ]:
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the entry point
+
+
+def formula_texts() -> st.SearchStrategy[str]:
+    """Formula text, well formed or not: holes, free variables, predicates
+    a model may lack, and at times one stray token between two others.
+    Unary P and Q and nullary R keep verify-fixpoint's model enumeration
+    small."""
+    leaves = st.sampled_from(["P(u)", "Q(u)", "R", "#p", "#q", "true", "false"])
+
+    def extend(kids: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+        return st.one_of(
+            kids.map(lambda a: f"box {a}"),
+            kids.map(lambda a: f"~ {a}"),
+            st.tuples(kids, st.sampled_from(["&", "|", "->"]), kids).map(
+                lambda t: f"( {t[0]} {t[1]} {t[2]} )"
+            ),
+            st.tuples(st.sampled_from(["forall", "exists"]), kids).map(lambda t: f"{t[0]} u. {t[1]}"),
+        )
+
+    def insert(text: str, stray: list[str], at: int) -> str:
+        tokens = text.split(" ")
+        at %= len(tokens) + 1
+        return " ".join(tokens[:at] + stray + tokens[at:])
+
+    # A stray token never comes first, since argparse would read a leading
+    # "-" as a flag, and the CLI a leading "@" as a file name.
+    stray = st.one_of(
+        st.just([]),
+        st.sampled_from([")", "(", "&", "->", "box", "#", "u.", "$", "P(", "forall", "P(u, u)"]).map(
+            lambda t: [t]
+        ),
+    )
+    return st.tuples(st.recursive(leaves, extend, max_leaves=4), stray, st.integers(1, 30)).map(
+        lambda t: insert(*t)
+    )
+
+
+def opt(flag: str, values: st.SearchStrategy) -> st.SearchStrategy[list[str]]:
+    """The flag with a drawn value, or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def argvs(models: list[str]) -> st.SearchStrategy[list[str]]:
+    """argparse-valid argv over all six subcommands, with small integers."""
+    fmt = opt("--format", st.sampled_from(["text", "lines"]))
+    seed = opt("--seed", st.integers(0, 5))
+    n = st.integers(-1, 4)
+    hole = opt("--hole", st.sampled_from(["p", "q"]))
+    span = st.one_of(
+        st.integers(0, 6).map(str),
+        st.lists(st.integers(0, 6), min_size=2, max_size=2).map(lambda t: "{}:{}".format(*sorted(t))),
+        st.just("3:1"),
+    )
+
+    def flag(name: str, values: st.SearchStrategy) -> st.SearchStrategy[list[str]]:
+        return values.map(lambda v: [name, str(v)])
+
+    def cmd(name: str, *parts: st.SearchStrategy) -> st.SearchStrategy[list[str]]:
+        # Each part draws a formula text or a list of arguments.
+        return st.tuples(*parts).map(
+            lambda ps: [name] + [a for p in ps for a in ([p] if isinstance(p, str) else p)]
+        )
+
+    return st.one_of(
+        cmd("fixpoint", formula_texts(), flag("--logic", st.sampled_from(["qk-bot", "qgl-sigma"])),
+            opt("--n", n), hole, fmt, seed),
+        cmd("check", formula_texts(), flag("--model", st.sampled_from(models)),
+            st.sampled_from([[], ["--frame"]]), fmt, seed),
+        cmd("verify-fixpoint", formula_texts(), flag("--n", n), hole,
+            flag("--max-worlds", st.integers(0, 2)), flag("--max-domain", st.integers(0, 2)),
+            flag("--random", st.integers(-2, 5)), fmt, seed),
+        cmd("refute", formula_texts(), opt("--k-max", st.integers(-1, 6)), fmt, seed),
+        cmd("gen-model", opt("--worlds", span), opt("--height", st.integers(-1, 3)),
+            opt("--domain-base", st.sampled_from(["1:2", "0:1", "3", "2:1", "x"])),
+            opt("--domain-growth", st.sampled_from(["0:1", "1", "2:1"])),
+            st.lists(st.sampled_from(["P:1", "Q:0", "R:2", "P", "S:x", "P:2"]), max_size=2).map(
+                lambda ps: [a for p in ps for a in ("--pred", p)]
+            ),
+            opt("--density", st.sampled_from([0.0, 0.5, 1.0, 1.5])),
+            opt("--require", st.sampled_from(["transitive", "irreflexive", "transitive,irreflexive", "x"])),
+            fmt, seed),
+        cmd("mk", flag("--k", st.integers(-1, 4)), fmt, seed),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory) -> list[str]:
+    """A chain model, a model whose P is binary, one without facts, and a
+    path that does not exist."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        "chain.model": "worlds: 3\nedge: 1 0\nedge: 2 0\nedge: 2 1\n"
+        "domain: 0 a b\ndomain: 1 a\ndomain: 2 a\nfact: 0 P a\nfact: 2 P a\n",
+        "binary.model": "worlds: 2\nedge: 0 1\ndomain: 0 a\ndomain: 1 a b\nfact: 1 P a b\n",
+        "bare.model": "worlds: 1\nedge: 0 0\ndomain: 0 c\n",
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return [str(root / name) for name in [*texts, "missing.model"]]
+
+
+def test_fuzzed_argv_ends_in_a_result_or_one_error_line(fuzz_models):
+    @given(argvs(fuzz_models))
+    @settings(max_examples=300, deadline=None)
+    def run(argv: list[str]) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv, out=out)
+        stderr = err.getvalue()
+        if code == 0:
+            assert stderr == ""
+        elif stderr == "":
+            # A failed fixed point check is a result, reported on stdout.
+            assert argv[0] == "verify-fixpoint" and "fail" in out.getvalue(), argv
+        else:
+            assert code == 1 and stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
+
+    run()

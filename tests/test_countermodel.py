@@ -6,6 +6,7 @@ import pytest
 
 from modalfix.countermodel import (
     PRED,
+    RefutationRow,
     candidate_equation,
     chain_model,
     eval_infinite_chain,
@@ -198,6 +199,30 @@ def test_refutation_preconditions():
         refutation_table(parse("P(u)"))
     with pytest.raises(EvalError):
         refutation_table(parse("Q"))
+
+
+def reference_rows(b: Formula, k_max: int = 8) -> list[RefutationRow]:
+    """refutation_table computed one world at a time with eval_formula."""
+    equation = candidate_equation(b)
+    rows = []
+    for k in range(k_max + 1):
+        m = chain_model(k)
+        holds = [eval_formula(m, n, equation) for n in m.worlds]
+        if all(holds):
+            parity = all(eval_formula(m, n, b) == (n % 2 == 0) for n in m.worlds)
+            rows.append(RefutationRow(k, True, None, parity))
+        else:
+            rows.append(RefutationRow(k, False, holds.index(False), None))
+            break
+    return rows
+
+
+def test_refutation_table_agrees_with_the_reference_evaluator():
+    target = refutation_target()
+    candidates = [fixpoint_qk(target, n).result for n in range(5)]
+    candidates += [parity_sentence(k) for k in range(5)]
+    for b in candidates:
+        assert refutation_table(b) == reference_rows(b), str(b)
 
 
 def test_refute_inconclusive_returns_none():

@@ -26,7 +26,8 @@ from modalfix.kripke import (
     valid_in_model,
     validate_model,
 )
-from modalfix.syntax import Atom, Const, parse
+from modalfix.countermodel import chain_model
+from modalfix.syntax import And, Atom, Box, Const, parse
 
 
 def two_chain() -> KripkeModel:
@@ -143,6 +144,48 @@ def test_validity_with_constants_checks_every_world_strictly():
         valid_in_model(m, Atom("P", (Const("b"),)))
 
 
+def test_a_constant_missing_from_any_world_is_an_error():
+    # P(1) is never read at world 2, which has no successors, but 1 is
+    # still outside its domain.
+    with pytest.raises(EvalError, match="^constant 1 is outside the domain of world 2$"):
+        first_failing_world(chain_model(2), Box(Atom("P", (Const("1"),))))
+    # The least missing constant (shortest first), at the first world of
+    # m.worlds that lacks it.
+    m = KripkeModel(
+        worlds=(2, 0, 1),
+        rel=frozenset(),
+        domains={2: frozenset({"aa"}), 0: frozenset({"b"}), 1: frozenset({"aa", "b"})},
+        interp={},
+        sig={"P": 1},
+    )
+    f = And(Atom("P", (Const("aa"),)), Atom("P", (Const("b"),)))
+    for check in (truth_mask, valid_in_model, first_failing_world):
+        with pytest.raises(EvalError, match="^constant b is outside the domain of world 2$"):
+            check(m, f)
+
+
+def test_worlds_without_a_domain_raise_eval_error():
+    m = KripkeModel((0,), frozenset(), {}, {}, {})
+    for check in (truth_mask, valid_in_model, first_failing_world):
+        with pytest.raises(EvalError, match="^unknown world 0$"):
+            check(m, parse("true"))
+
+
+def test_validity_and_first_failing_world_agree_off_monotone_models():
+    # Constant a of world 0 is missing at its successor 1: the atom P(a)
+    # is false there, as it is for any argument outside the domain.
+    m = KripkeModel(
+        worlds=(0, 1),
+        rel=frozenset({(0, 1)}),
+        domains={0: frozenset({"a"}), 1: frozenset({"b"})},
+        interp={(0, "P"): frozenset({("a",)}), (1, "P"): frozenset({("b",)})},
+        sig={"P": 1},
+    )
+    f = parse("forall u. box P(u)")
+    assert valid_in_model(m, f) is False
+    assert first_failing_world(m, f) == 0
+
+
 def test_frame_report_two_chain():
     r = frame_report(two_chain())
     assert r.transitive and r.irreflexive and r.conversely_well_founded
@@ -226,6 +269,9 @@ def test_random_model_postconditions():
         assert r.transitive and r.irreflexive
         assert r.frame_height is not None and r.frame_height <= 2
         assert m.sig == {"P": 1}
+    for seed in range(5):
+        m = random_model(spec(world_count=(30, 60), height_bound=5, seed=seed))
+        assert frame_report(m).transitive
 
 
 def test_random_model_respects_domain_ranges():
@@ -246,6 +292,9 @@ def test_random_model_rejects_bad_spec():
         random_model(spec(signature={"P": 30}, domain_base_size=(2, 2)))
     with pytest.raises(BoundExplosionError):
         random_model(spec(signature={"P": 10**9}, domain_base_size=(2, 2)))
+    # Over the budget in world pairs: raised before any level is drawn.
+    with pytest.raises(BoundExplosionError, match="world pairs"):
+        random_model(spec(world_count=(4000, 4000)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
+import tempfile
 from itertools import product
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from modalfix import cli
 from modalfix.countermodel import chain_model, eval_infinite_chain
 from modalfix.kripke import (
     KripkeModel,
     ModelGenSpec,
     batch_truth_masks,
     eval_formula,
+    first_failing_world,
+    format_model,
     generated_submodel,
     random_model,
     truth_mask,
@@ -209,6 +216,33 @@ def test_batch_masks_agree_with_reference_on_any_frame(m, f, g, picks):
     for s, mask in zip(sentences, masks):
         for i, w in enumerate(m.worlds):
             assert eval_formula(m, w, s) == bool(mask >> i & 1)
+
+
+@given(small_models(), formulas(with_hole=False))
+@settings(max_examples=100, deadline=None)
+def test_first_failing_world_agrees_with_reference_on_any_frame(m, f):
+    closed = universal_closure(f)
+    failing = [w for w in sorted(m.worlds) if not eval_formula(m, w, closed)]
+    assert first_failing_world(m, f) == (failing[0] if failing else None)
+
+
+@given(small_models(), formulas(with_hole=False))
+@settings(max_examples=25, deadline=None)
+def test_check_prints_the_reference_verdict_at_each_world(m, f):
+    # Model files number their worlds 0..n-1 in order.
+    m = dataclasses.replace(m, worlds=tuple(sorted(m.worlds)))
+    text = format_formula(f)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.model"
+        path.write_text(format_model(m), encoding="utf-8")
+        out = io.StringIO()
+        assert cli.main(["check", text, "--model", str(path)], out=out) == 0
+    got = dict(line.split(": ", 1) for line in out.getvalue().splitlines())
+    closed = universal_closure(parse(text))
+    verdicts = [eval_formula(m, w, closed) for w in m.worlds]
+    for w, value in zip(m.worlds, verdicts):
+        assert got[f"world.{w}"] == str(value).lower()
+    assert got["valid"] == str(all(verdicts)).lower()
 
 
 @given(formulas(with_hole=False), st.integers(0, 100))
