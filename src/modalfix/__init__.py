@@ -57,7 +57,6 @@ from .syntax import (
     parse,
     predicates,
     prop_vars,
-    subformulas,
     subst_at_depths,
     subst_prop,
     subst_prop_map,
@@ -80,6 +79,7 @@ from .kripke import (
     frame_report,
     generated_submodel,
     parse_model,
+    pool_truth_masks,
     random_model,
     truth_mask,
     valid_in_model,

@@ -11,8 +11,9 @@ single line "error: <code>: <detail>" on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import countermodel, fixpoint, kripke, syntax
 from .syntax import FixpointTarget, LogicError, format_formula
@@ -90,14 +91,60 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+# verify-fixpoint checks its models as disjoint unions of about this many
+# worlds, which bounds the size of its masks.
+_CHUNK_WORLDS = 1024
+
+
+def _chunks(models: Iterable[kripke.KripkeModel]) -> Iterator[list[kripke.KripkeModel]]:
+    """Consecutive runs of models of about _CHUNK_WORLDS worlds in all.
+    When making a model raises, the run of models before it comes first."""
+    chunk: list[kripke.KripkeModel] = []
+    size = 0
+    try:
+        for m in models:
+            chunk.append(m)
+            size += len(m.worlds)
+            if size >= _CHUNK_WORLDS:
+                yield chunk
+                chunk, size = [], 0
+    except LogicError:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def _first_invalid(
+    models: Iterable[kripke.KripkeModel], sentence: syntax.Formula
+) -> tuple[int, Optional[kripke.KripkeModel]]:
+    """(i, m) for the first model m, the i-th, in which sentence is not
+    valid, or (number of models, None). The first model that fails or
+    raises decides."""
+    checked = 0
+    for chunk in _chunks(models):
+        try:
+            masks = kripke.pool_truth_masks(chunk, [sentence])
+        except (LogicError, RecursionError):
+            # One model at a time, so that a model before the one that
+            # raises can fail first.
+            masks = ([kripke.truth_mask(m, sentence)] for m in chunk)
+        for m, (mask,) in zip(chunk, masks):
+            if mask != (1 << len(m.worlds)) - 1:
+                return checked, m
+            checked += 1
+    return checked, None
+
+
 def _cmd_verify_fixpoint(args: argparse.Namespace, out: TextIO) -> int:
     if args.random < 0:
         raise ValueError("--random must be >= 0")
     f = syntax.parse(_read_formula_arg(args.formula))
     target = syntax.normalize_variables(FixpointTarget(f, args.hole))
     trace = fixpoint.fixpoint_qk(target, args.n)
-    equation = syntax.iff(
-        trace.result, syntax.subst_prop(target.formula, target.hole, trace.result)
+    equation = syntax.universal_closure(
+        syntax.iff(trace.result, syntax.subst_prop(target.formula, target.hole, trace.result))
     )
     sig = syntax.predicates(target.formula)
     pairs = [
@@ -108,31 +155,32 @@ def _cmd_verify_fixpoint(args: argparse.Namespace, out: TextIO) -> int:
         ("input", format_formula(target.formula)),
         ("result", format_formula(trace.result)),
     ]
-    exhaustive = 0
-    for m in kripke.enumerate_models(args.max_worlds, args.max_domain, sig, max_height=args.n):
-        exhaustive += 1
-        if not kripke.valid_in_model(m, equation):
-            pairs.append(("verdict", "fail"))
-            pairs.append(("counterexample", "exhaustive"))
-            _emit(pairs, args.format, out)
-            out.write(kripke.format_model(m))
-            return 1
+    models = kripke.enumerate_models(args.max_worlds, args.max_domain, sig, max_height=args.n)
+    exhaustive, m = _first_invalid(models, equation)
+    if m is not None:
+        pairs.append(("verdict", "fail"))
+        pairs.append(("counterexample", "exhaustive"))
+        _emit(pairs, args.format, out)
+        out.write(kripke.format_model(m))
+        return 1
     pairs.append(("exhaustive.models", str(exhaustive)))
     pairs.append(("exhaustive.failures", "0"))
-    for i in range(args.random):
-        spec = kripke.ModelGenSpec(
+    specs = (
+        kripke.ModelGenSpec(
             world_count=(1, max(2, args.max_worlds + 1)),
             height_bound=args.n,
             signature=dict(sig) or {"P": 1},
             seed=args.seed + i,
         )
-        m = kripke.random_model(spec)
-        if not kripke.valid_in_model(m, equation):
-            pairs.append(("verdict", "fail"))
-            pairs.append(("counterexample", f"random seed {args.seed + i}"))
-            _emit(pairs, args.format, out)
-            out.write(kripke.format_model(m))
-            return 1
+        for i in range(args.random)
+    )
+    i, m = _first_invalid(map(kripke.random_model, specs), equation)
+    if m is not None:
+        pairs.append(("verdict", "fail"))
+        pairs.append(("counterexample", f"random seed {args.seed + i}"))
+        _emit(pairs, args.format, out)
+        out.write(kripke.format_model(m))
+        return 1
     pairs.append(("random.models", str(args.random)))
     pairs.append(("random.failures", "0"))
     pairs.append(("verdict", "pass"))
@@ -209,7 +257,10 @@ def _write_model(text: str, path: Optional[str], out: TextIO) -> None:
         out.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="modalfix",
         description="fixed points of modalized formulas, with a finite Kripke model checker",
@@ -270,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
     except LogicError as e:

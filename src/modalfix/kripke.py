@@ -7,16 +7,23 @@ quantifiers at a world range over that world's domain, box quantifies
 over accessible worlds. Validity in a model is truth of the universal
 closure at every world.
 
-Every check runs on one evaluator, truth_mask and batch_truth_masks,
-which computes the truth of a sentence at all worlds at once as a
-bitmask. A sentence has no free variables and no propositional
-variables, and each of its constants lies in every world's domain;
-anything else raises EvalError. The evaluator memoizes each subformula
-under its node identity, plus the values of its free variables (read
-from the facts cached on the node) when it has any, and reads atoms
-from a table of fact masks that each model builds once. eval_formula
-is the plain recursive reference, one world at a time, that the tests
-compare the evaluator against.
+Every check runs on one evaluator, which computes the truth of a
+sentence at all worlds at once as a bitmask. A sentence has no free
+variables and no propositional variables, and each of its constants lies
+in every world's domain; anything else raises EvalError. Truth is local
+to the generated submodel, so pool_truth_masks checks a pool of models
+as their disjoint union: each model's worlds take a run of bit positions
+from the model's offset, and each mask is one int over every world of
+the pool, split at the offsets at the end. The union tables hold, per
+constant and per fact, the mask of the worlds where it is present, and
+per position offset d the mask E_d of the worlds with an edge to the
+world d positions on; box S is the complement of the union over d of
+E_d & shift(~S, d). truth_mask and batch_truth_masks check a pool of
+one. The evaluator memoizes each subformula under its node identity,
+plus the values of its free variables (read from the facts cached on
+the node) when it has any. eval_formula is the plain recursive
+reference, one world at a time, that the tests compare the evaluator
+against.
 
 A model caches its successor lists, sorted domains and bitmask tables
 on first use; dataclasses.replace gives a copy whose caches are cold.
@@ -97,8 +104,8 @@ class KripkeModel:
         return {w: tuple(sorted(self.domains[w], key=_const_key)) for w in self.worlds}
 
     @cached_property
-    def _mask_tables(self) -> _Tables:
-        return _Tables(self)
+    def _mask_tables(self) -> _UnionTables:
+        return _UnionTables((self,))
 
     def facts(self, w: int, pred: str) -> frozenset[tuple[str, ...]]:
         return self.interp.get((w, pred), frozenset())
@@ -204,45 +211,52 @@ def _eval(m: KripkeModel, w: int, f: Formula, env: dict[str, str]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bitmask evaluator: truth of a formula at every world at once
+# Bitmask evaluator: truth of a formula at every world of a model pool at once
 
-class _Tables:
-    def __init__(self, m: KripkeModel):
-        for w in m.worlds:
-            if w not in m.domains:
-                raise EvalError(f"unknown world {w}")
-        self.index = {w: i for i, w in enumerate(m.worlds)}
-        self.all_mask = (1 << len(m.worlds)) - 1
-        self.succ_masks = []
-        for w in m.worlds:
-            mask = 0
-            for v in m.successors(w):
-                mask |= 1 << self.index[v]
-            self.succ_masks.append(mask)
-        pool: set[str] = set()
-        for w in m.worlds:
-            pool |= m.domains[w]
-        self.pool = sorted(pool, key=_const_key)
-        self.const_masks = {}
-        for c in self.pool:
-            mask = 0
-            for i, w in enumerate(m.worlds):
-                if c in m.domains[w]:
-                    mask |= 1 << i
-            self.const_masks[c] = mask
-        # Worlds where pred holds of args, keyed by (pred, args); entries
-        # for worlds outside m.worlds are ignored.
+class _UnionTables:
+    """Bitmask tables of the disjoint union of a sequence of models.
+
+    Model j's worlds take the positions offsets[j] .. offsets[j + 1] - 1, in
+    the order of its m.worlds. edges pairs each position offset d with the
+    mask of the positions that have an edge to the position d further on.
+    Facts at worlds outside m.worlds are ignored.
+    """
+
+    def __init__(self, models: Sequence[KripkeModel]):
+        self.offsets = [0]
+        self.const_masks: dict[str, int] = {}
         self.fact_masks: dict[tuple[str, tuple[str, ...]], int] = {}
-        for (w, pred), tuples in m.interp.items():
-            if w in self.index:
-                for args in tuples:
-                    key = (pred, args)
-                    self.fact_masks[key] = self.fact_masks.get(key, 0) | 1 << self.index[w]
+        edges: dict[int, int] = {}
+        for m in models:
+            index: dict[int, int] = {}
+            for i, w in enumerate(m.worlds, self.offsets[-1]):
+                if w not in m.domains:
+                    raise EvalError(f"unknown world {w}")
+                index[w] = i
+                for c in m.domains[w]:
+                    self.const_masks[c] = self.const_masks.get(c, 0) | 1 << i
+            for a, b in m.rel:
+                for v in (a, b):
+                    if v not in index:
+                        raise EvalError(f"unknown world {v}")
+                i = index[a]
+                d = index[b] - i
+                edges[d] = edges.get(d, 0) | 1 << i
+            for (w, pred), tuples in m.interp.items():
+                if w in index:
+                    bit = 1 << index[w]
+                    for args in tuples:
+                        key = (pred, args)
+                        self.fact_masks[key] = self.fact_masks.get(key, 0) | bit
+            self.offsets.append(self.offsets[-1] + len(m.worlds))
+        self.all_mask = (1 << self.offsets[-1]) - 1
+        self.pool = sorted(self.const_masks, key=_const_key)
+        self.edges = sorted(edges.items())
 
 
-class _MaskEvaluator:
-    def __init__(self, m: KripkeModel):
-        self.t = m._mask_tables
+class _UnionEvaluator:
+    def __init__(self, t: _UnionTables):
+        self.t = t
         self.memo: dict[object, int] = {}
 
     def mask(self, f: Formula, env: dict[str, str]) -> int:
@@ -252,7 +266,7 @@ class _MaskEvaluator:
         key = (id(f), *[env[v] for v in sorted(fv)]) if fv else id(f)
         got = self.memo.get(key)
         if got is None:
-            got = self.memo[key] = _HANDLERS.get(type(f), _MaskEvaluator._other)(self, f, env)
+            got = self.memo[key] = _HANDLERS.get(type(f), _UnionEvaluator._other)(self, f, env)
         return got
 
     def _top(self, f: Top, env: dict[str, str]) -> int:
@@ -309,14 +323,13 @@ class _MaskEvaluator:
         return acc
 
     def _box(self, f: Box, env: dict[str, str]) -> int:
-        missing = ~self.mask(f.body, env)
+        # A world fails box S when, for some offset d, it has an edge to
+        # the world d positions on and that world is outside S.
+        missing = ~self.mask(f.body, env) & self.t.all_mask
         acc = 0
-        bit = 1
-        for succ in self.t.succ_masks:
-            if not succ & missing:
-                acc |= bit
-            bit <<= 1
-        return acc
+        for d, e in self.t.edges:
+            acc |= e & (missing >> d if d >= 0 else missing << -d)
+        return ~acc & self.t.all_mask
 
     def _other(self, f: object, env: dict[str, str]) -> int:
         raise TypeError(f"not a formula: {f!r}")
@@ -324,23 +337,44 @@ class _MaskEvaluator:
 
 # One handler per node class, named after it; any other class is _other.
 _HANDLERS = {
-    cls: getattr(_MaskEvaluator, "_" + cls.__name__.lower())
+    cls: getattr(_UnionEvaluator, "_" + cls.__name__.lower())
     for cls in (Top, Bottom, Atom, PropVar, Not, Implies, And, Or, Forall, Exists, Box)
 }
 
 
-def _sentence(m: KripkeModel, f: Formula) -> Formula:
+def _check_sentence(models: Sequence[KripkeModel], t: _UnionTables, f: Formula) -> Formula:
     if f._free_vars:
         raise EvalError(f"unbound variable {min(f._free_vars)}")
     if f._constants:
         # A constant must exist at every world, even where f never reads it.
-        t = m._mask_tables
-        for c in sorted(f._constants, key=_const_key):
-            missing = ~t.const_masks.get(c, 0) & t.all_mask
-            if missing:
-                w = m.worlds[next(_bits(missing))]
-                raise EvalError(f"constant {c} is outside the domain of world {w}")
+        names = sorted(f._constants, key=_const_key)
+        for m, lo, hi in zip(models, t.offsets, t.offsets[1:]):
+            for c in names:
+                missing = ~t.const_masks.get(c, 0) & ((1 << hi) - (1 << lo))
+                if missing:
+                    w = m.worlds[next(_bits(missing)) - lo]
+                    raise EvalError(f"constant {c} is outside the domain of world {w}")
     return f
+
+
+def pool_truth_masks(models: Sequence[KripkeModel], sentences: Sequence[Formula]) -> list[list[int]]:
+    """Truth masks of several sentences in each model of a pool.
+
+    out[j][k] is the bitmask of the worlds (by position in models[j].worlds)
+    where sentences[k] holds in models[j]. Truth is local to the generated
+    submodel, so the pool is checked as one disjoint union, and subformula
+    objects shared between the sentences are evaluated once. Each sentence
+    is checked, model by model in pool order, to be a sentence as the
+    module docstring defines it; anything else raises EvalError.
+    """
+    # A single model keeps its tables; a pool's are built afresh.
+    t = models[0]._mask_tables if len(models) == 1 else _UnionTables(models)
+    ev = _UnionEvaluator(t)
+    masks = [ev.mask(_check_sentence(models, t, f), {}) for f in sentences]
+    return [
+        [(mask >> lo) & ((1 << (hi - lo)) - 1) for mask in masks]
+        for lo, hi in zip(t.offsets, t.offsets[1:])
+    ]
 
 
 def truth_mask(m: KripkeModel, f: Formula) -> int:
@@ -349,7 +383,7 @@ def truth_mask(m: KripkeModel, f: Formula) -> int:
     Anything but a sentence, as the module docstring defines it, raises
     EvalError.
     """
-    return _MaskEvaluator(m).mask(_sentence(m, f), {})
+    return pool_truth_masks((m,), (f,))[0][0]
 
 
 def batch_truth_masks(m: KripkeModel, formulas: Sequence[Formula]) -> list[int]:
@@ -359,8 +393,7 @@ def batch_truth_masks(m: KripkeModel, formulas: Sequence[Formula]) -> list[int]:
     objects shared between the inputs are evaluated once, which is what
     verification sweeps over families of related formulas want.
     """
-    ev = _MaskEvaluator(m)
-    return [ev.mask(_sentence(m, f), {}) for f in formulas]
+    return pool_truth_masks((m,), formulas)[0]
 
 
 def valid_in_model(m: KripkeModel, f: Formula) -> bool:

@@ -525,13 +525,6 @@ for _cls in (Top, Bottom, Atom, PropVar, Not, Implies, And, Or, Forall, Exists, 
 # ---------------------------------------------------------------------------
 # Variable bookkeeping
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Yield f and every subformula, outermost first, left to right."""
-    yield f
-    for k in f._kids():
-        yield from subformulas(k)
-
-
 def free_individual_vars(f: Formula) -> frozenset[str]:
     return _fact(f, "_free_vars")
 

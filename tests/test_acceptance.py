@@ -28,6 +28,7 @@ from modalfix.kripke import (
     enumerate_models,
     eval_formula,
     frame_report,
+    pool_truth_masks,
     random_model,
     valid_in_model,
     validate_model,
@@ -199,8 +200,7 @@ def pool_transitive() -> tuple[KripkeModel, ...]:
 def all_valid(models, sentences) -> int:
     """Number of (model, sentence) checks performed; asserts all valid."""
     failures = []
-    for m in models:
-        masks = batch_truth_masks(m, sentences)
+    for m, masks in zip(models, pool_truth_masks(models, sentences)):
         want = full_mask(m)
         failures += [(m, s) for s, got in zip(sentences, masks) if got != want]
     assert not failures, f"{len(failures)} failures, first: {failures[0][1]}"
@@ -277,16 +277,18 @@ def test_criterion_3_truncation_and_stage_agreement():
             batch += per_b
         plans.append((batch, len(b_corpus)))
 
-    checks = 0
-    for model in exhaustive(3):
+    models = exhaustive(3)
+    lows = []
+    for model in models:
         heights = frame_report(model).heights
         assert heights is not None
-        low = [
+        lows.append([
             sum(1 << i for i, w in enumerate(model.worlds) if heights[w] <= n)
             for n in range(4)
-        ]
-        for batch, n_bs in plans:
-            masks = batch_truth_masks(model, batch)
+        ])
+    checks = 0
+    for batch, n_bs in plans:
+        for low, masks in zip(lows, pool_truth_masks(models, batch)):
             sent_mask, trunc_masks, stage_masks = masks[0], masks[1:5], masks[5:9]
             rest = masks[9:]
             rewrite_masks = [rest[i * 4 : i * 4 + 4] for i in range(n_bs)]

@@ -13,7 +13,27 @@ from hypothesis import given, settings, strategies as st
 
 from modalfix import cli
 from modalfix.countermodel import chain_model
-from modalfix.kripke import parse_model
+from modalfix.kripke import (
+    EvalError,
+    GenError,
+    KripkeModel,
+    enumerate_models,
+    eval_formula,
+    format_model,
+    ModelGenSpec,
+    parse_model,
+    random_model,
+)
+from modalfix.syntax import (
+    Atom,
+    Const,
+    FixpointTarget,
+    iff,
+    normalize_variables,
+    parse,
+    subst_prop,
+    universal_closure,
+)
 
 WORKED = "box (#p -> forall u. (Q(u) -> box #p))"
 
@@ -183,6 +203,79 @@ def test_verify_fixpoint_small_exhaustive():
     assert got["exhaustive.failures"] == "0"
     assert got["random.models"] == "5"
     assert got["verdict"] == "pass"
+
+
+def first_failing_model(models, equation):
+    for i, m in enumerate(models):
+        if not all(eval_formula(m, w, equation) for w in m.worlds):
+            return i, m
+    return None
+
+
+@pytest.mark.parametrize(
+    "max_worlds, low, source",
+    [
+        # One stage too low fails on an enumerated model of height 2.
+        (3, 1, "exhaustive"),
+        # Stage 0 holds on every one-world model, so a random model fails.
+        (1, 0, "random"),
+    ],
+)
+def test_verify_fixpoint_prints_the_first_failing_model(monkeypatch, max_worlds, low, source):
+    real = cli.fixpoint.fixpoint_qk
+    monkeypatch.setattr(cli.fixpoint, "fixpoint_qk", lambda target, n: real(target, low))
+    out = io.StringIO()
+    argv = ["verify-fixpoint", "box ~#p", "--n", "2", "--max-worlds", str(max_worlds), "--seed", "4"]
+    assert cli.main(argv, out=out) == 1
+
+    target = normalize_variables(FixpointTarget(parse("box ~#p"), "p"))
+    stage = real(target, low).result
+    equation = universal_closure(iff(stage, subst_prop(target.formula, "p", stage)))
+    found = first_failing_model(enumerate_models(max_worlds, 2, {}, max_height=2), equation)
+    want = "exhaustive"
+    if source == "random":
+        assert found is None
+        # box ~#p has no predicates, so the random models get a unary P.
+        specs = (
+            ModelGenSpec(world_count=(1, 2), height_bound=2, signature={"P": 1}, seed=4 + i)
+            for i in range(200)
+        )
+        found = first_failing_model(map(random_model, specs), equation)
+        want = f"random seed {4 + found[0]}"
+    head, _, tail = out.getvalue().partition("verdict: fail\n")
+    assert f"result: {stage}\n" in head
+    assert tail == f"counterexample: {want}\n" + format_model(found[1])
+
+
+def test_first_invalid_lets_earlier_models_decide():
+    a = frozenset({"a"})
+    fails = KripkeModel((0,), frozenset(), {0: a}, {}, {"P": 1})
+    holds = KripkeModel((0,), frozenset(), {0: a}, {(0, "P"): frozenset({("a",)})}, {"P": 1})
+    raises = KripkeModel((0,), frozenset(), {0: frozenset({"b"})}, {}, {"P": 1})
+    sentence = Atom("P", (Const("a"),))
+    assert cli._first_invalid([holds, fails, raises], sentence) == (1, fails)
+    with pytest.raises(EvalError):
+        cli._first_invalid([holds, raises, fails], sentence)
+
+    def then_raise(models):
+        yield from models
+        raise GenError("no more models")
+
+    assert cli._first_invalid(then_raise([holds, fails]), sentence) == (1, fails)
+    with pytest.raises(GenError):
+        cli._first_invalid(then_raise([holds, holds]), sentence)
+
+
+def test_an_argparse_error_leaves_the_cached_parser_unchanged(capsys):
+    argv = ["verify-fixpoint", "~box #p", "--n", "1", "--max-worlds", "2", "--random", "3"]
+    first, again = io.StringIO(), io.StringIO()
+    assert cli.main(argv, out=first) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["verify-fixpoint", "~box #p", "--seed", "7", "--n", "x"])
+    assert "invalid int value" in capsys.readouterr().err
+    assert cli.main(argv, out=again) == 0
+    assert again.getvalue() == first.getvalue()
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_verify_fixpoint_rejects_negative_random():

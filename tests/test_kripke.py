@@ -21,6 +21,7 @@ from modalfix.kripke import (
     frame_report,
     generated_submodel,
     parse_model,
+    pool_truth_masks,
     random_model,
     truth_mask,
     valid_in_model,
@@ -169,6 +170,27 @@ def test_worlds_without_a_domain_raise_eval_error():
     for check in (truth_mask, valid_in_model, first_failing_world):
         with pytest.raises(EvalError, match="^unknown world 0$"):
             check(m, parse("true"))
+
+
+def test_edges_to_unknown_worlds_raise_eval_error():
+    m = KripkeModel((0,), frozenset({(0, 1)}), {0: frozenset({"a"})}, {}, {})
+    for check in (truth_mask, valid_in_model, first_failing_world):
+        with pytest.raises(EvalError, match="^unknown world 1$"):
+            check(m, parse("box true"))
+    with pytest.raises(EvalError, match="^unknown world 1$"):
+        pool_truth_masks([two_chain(), m], [parse("box true")])
+
+
+def test_pool_checks_sentences_model_by_model():
+    # b is missing at world 1 of the first model and at world 7 of the
+    # second; the first model in the pool decides.
+    other = KripkeModel((7,), frozenset(), {7: frozenset({"a"})}, {}, {"P": 1})
+    f = Atom("P", (Const("b"),))
+    with pytest.raises(EvalError, match="^constant b is outside the domain of world 1$"):
+        pool_truth_masks([two_chain(), other], [f])
+    with pytest.raises(EvalError, match="^constant b is outside the domain of world 7$"):
+        pool_truth_masks([other, two_chain()], [f])
+    assert pool_truth_masks([], [f]) == []
 
 
 def test_validity_and_first_failing_world_agree_off_monotone_models():

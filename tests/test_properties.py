@@ -20,6 +20,7 @@ from modalfix.kripke import (
     first_failing_world,
     format_model,
     generated_submodel,
+    pool_truth_masks,
     random_model,
     truth_mask,
     validate_model,
@@ -216,6 +217,25 @@ def test_batch_masks_agree_with_reference_on_any_frame(m, f, g, picks):
     for s, mask in zip(sentences, masks):
         for i, w in enumerate(m.worlds):
             assert eval_formula(m, w, s) == bool(mask >> i & 1)
+
+
+@given(
+    st.lists(small_models(), min_size=1, max_size=5),
+    formulas(with_hole=False),
+    formulas(with_hole=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_pool_masks_agree_with_reference_in_each_model(models, f, g):
+    # Pools that mix model sizes, frames and world orders, checked as one
+    # disjoint union and split at the model offsets.
+    sentences = [universal_closure(h) for h in (f, Box(g), And(f, Not(g)))]
+    masks = pool_truth_masks(models, sentences)
+    assert len(masks) == len(models)
+    for m, per_model in zip(models, masks):
+        for s, mask in zip(sentences, per_model):
+            assert mask >> len(m.worlds) == 0
+            for i, w in enumerate(m.worlds):
+                assert eval_formula(m, w, s) == bool(mask >> i & 1)
 
 
 @given(small_models(), formulas(with_hole=False))
