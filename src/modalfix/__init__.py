@@ -33,6 +33,7 @@ from .syntax import (
     NotNormalizedError,
     NotSigmaError,
     Or,
+    OutputTooLargeError,
     ParseError,
     PropVar,
     TRUE,

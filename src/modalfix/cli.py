@@ -126,7 +126,7 @@ def _first_invalid(
     for chunk in _chunks(models):
         try:
             masks = kripke.pool_truth_masks(chunk, [sentence])
-        except (LogicError, RecursionError):
+        except LogicError:
             # One model at a time, so that a model before the one that
             # raises can fail first.
             masks = ([kripke.truth_mask(m, sentence)] for m in chunk)
@@ -335,7 +335,7 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
         return 1
     except RecursionError:
         # Formulas the parser accepts can still nest too deeply for the
-        # recursive printer and evaluators.
+        # recursive rewrites.
         print("error: too-deep: formula nests too deeply", file=sys.stderr)
         return 1
 

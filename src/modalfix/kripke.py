@@ -51,13 +51,11 @@ from .syntax import (
     Or,
     PropVar,
     Top,
+    TooDeepError,
     Var,
+    _BUDGET,
     universal_closure,
 )
-
-# Most candidate models enumerate_models may consider, and most world
-# pairs and predicate tuples random_model may draw.
-_BUDGET = 10**7
 
 
 class EvalError(LogicError):
@@ -365,12 +363,16 @@ def pool_truth_masks(models: Sequence[KripkeModel], sentences: Sequence[Formula]
     submodel, so the pool is checked as one disjoint union, and subformula
     objects shared between the sentences are evaluated once. Each sentence
     is checked, model by model in pool order, to be a sentence as the
-    module docstring defines it; anything else raises EvalError.
+    module docstring defines it; anything else raises EvalError. A
+    sentence nested too deeply for the evaluator raises TooDeepError.
     """
     # A single model keeps its tables; a pool's are built afresh.
     t = models[0]._mask_tables if len(models) == 1 else _UnionTables(models)
     ev = _UnionEvaluator(t)
-    masks = [ev.mask(_check_sentence(models, t, f), {}) for f in sentences]
+    try:
+        masks = [ev.mask(_check_sentence(models, t, f), {}) for f in sentences]
+    except RecursionError:
+        raise TooDeepError("formula nests too deeply") from None
     return [
         [(mask >> lo) & ((1 << (hi - lo)) - 1) for mask in masks]
         for lo, hi in zip(t.offsets, t.offsets[1:])
@@ -561,11 +563,14 @@ def random_model(spec: ModelGenSpec) -> KripkeModel:
                 succ[a] |= succ[b]
         rel = {(a, b) for a in worlds for b in _bits(succ[a])}
 
+    preds: list[list[int]] = [[] for _ in worlds]
+    for a, b in rel:
+        preds[b].append(a)
     sizes: dict[int, int] = {}
-    order = sorted(worlds, key=lambda w: (-levels[w], w))
-    for w in order:
+    for w in sorted(worlds, key=lambda w: (-levels[w], w)):
         base = rng.randint(*spec.domain_base_size)
-        inbound = [sizes[v] for v in worlds if (v, w) in rel and v in sizes]
+        # Edges lead to lower levels, so every predecessor has its size.
+        inbound = [sizes[v] for v in preds[w]]
         growth = rng.randint(*spec.domain_growth) if inbound else 0
         sizes[w] = max([base] + inbound) + growth
     # Capping the arity keeps the verdict, since 2**64 is over budget

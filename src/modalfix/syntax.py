@@ -14,6 +14,11 @@ constants, predicate arities, the hash) are computed once per node and
 cached on it, and truncate, subst_at_depths and subst_prop_map share
 one rebuild that visits each (node, box depth) pair once.
 
+parse makes structurally equal subformulas of one text one object, so
+text read back is a DAG too. format_formula prints each node once per
+required precedence within a call, and raises OutputTooLargeError before
+building a text longer than _BUDGET characters.
+
 Domain constants (Const) never come from the surface grammar. They are
 injected by the model checking code, which instantiates quantifiers
 with elements of a world's domain.
@@ -78,6 +83,15 @@ class TooDeepError(LogicError):
     code = "too-deep"
 
 
+class OutputTooLargeError(LogicError):
+    code = "bound-explosion"
+
+
+# Most characters format_formula prints; kripke bounds its candidate
+# models, world pairs and predicate tuples by the same number.
+_BUDGET = 10**7
+
+
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -108,7 +122,14 @@ class _Node:
     Each fact is a cached property computed from the same fact of the
     children, which _fact computes first. The nodes are frozen, so a
     cached fact cannot go stale; facts take no part in == or repr.
+
+    A node prints as its _head, before its body or between its children.
+    _prec is how tightly it binds, _needs the least _prec of each child
+    that prints without parentheses.
     """
+
+    _prec = 4
+    _needs: tuple[int, ...] = ()
 
     def _kids(self) -> tuple[Formula, ...]:
         return ()
@@ -141,6 +162,18 @@ class _Node:
         # Distinct (predicate, arity) pairs in order of first occurrence.
         return tuple(dict.fromkeys(p for k in self._kids() for p in _fact(k, "_arities")))
 
+    @cached_property
+    def _width(self) -> int:
+        # The length of the printed text.
+        return len(self._head) + sum(
+            _fact(k, "_width") + 2 * (k._prec < need) for k, need in zip(self._kids(), self._needs)
+        )
+
+    def _print(self, need: int, done: dict) -> str:
+        """The text where a _prec of at least need is required. Nodes with
+        children memoize it in done under their identity and need."""
+        return self._head
+
 
 def _fact(f: Formula, name: str):
     """The cached fact name of f. Missing facts below f are computed
@@ -161,29 +194,51 @@ def _fact(f: Formula, name: str):
 
 
 class _Unary(_Node):
+    _needs = (4,)
+
     def _kids(self) -> tuple[Formula, ...]:
         return (self.body,)
+
+    def _print(self, need: int, done: dict) -> str:
+        # No context needs more than _prec 4: one text for every need.
+        key = id(self)
+        s = done.get(key)
+        if s is None:
+            s = done[key] = self._head + self.body._print(4, done)
+        return s
 
 
 class _Binary(_Node):
     def _kids(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
 
+    def _print(self, need: int, done: dict) -> str:
+        key = (id(self), need)
+        s = done.get(key)
+        if s is None:
+            left, right = self._needs
+            s = f"{self.left._print(left, done)}{self._head}{self.right._print(right, done)}"
+            done[key] = s = s if self._prec >= need else f"({s})"
+        return s
+
 
 @dataclass(frozen=True)
 class Top(_Node):
-    pass
+    _head = "true"
 
 
 @dataclass(frozen=True)
 class Bottom(_Node):
-    pass
+    _head = "false"
 
 
 @dataclass(frozen=True)
 class Atom(_Node):
     pred: str
     args: tuple[Term, ...] = ()
+    _head = cached_property(
+        lambda self: f"{self.pred}({', '.join(t.name for t in self.args)})" if self.args else self.pred
+    )
 
     @cached_property
     def _free_vars(self) -> frozenset[str]:
@@ -201,6 +256,7 @@ class Atom(_Node):
 @dataclass(frozen=True)
 class PropVar(_Node):
     name: str
+    _head = cached_property(lambda self: "#" + self.name)
 
     @cached_property
     def _prop_vars(self) -> frozenset[str]:
@@ -210,28 +266,34 @@ class PropVar(_Node):
 @dataclass(frozen=True)
 class Not(_Unary):
     body: "Formula"
+    _head = "~"
 
 
 @dataclass(frozen=True)
 class Implies(_Binary):
     left: "Formula"
     right: "Formula"
+    _head, _prec, _needs = " -> ", 1, (2, 1)
 
 
 @dataclass(frozen=True)
 class And(_Binary):
     left: "Formula"
     right: "Formula"
+    _head, _prec, _needs = " & ", 3, (3, 4)
 
 
 @dataclass(frozen=True)
 class Or(_Binary):
     left: "Formula"
     right: "Formula"
+    _head, _prec, _needs = " | ", 2, (2, 3)
 
 
 class _Binder(_Unary):
     # Forall and Exists: the facts that the bound variable changes.
+    _head = cached_property(lambda self: f"{type(self).__name__.lower()} {self.var}. ")
+
     def _with(self, kids: Sequence[Formula]) -> Formula:
         return type(self)(self.var, *kids)
 
@@ -259,6 +321,7 @@ class Exists(_Binder):
 @dataclass(frozen=True)
 class Box(_Unary):
     body: "Formula"
+    _head = "box "
 
 
 Formula = Union[Top, Bottom, Atom, PropVar, Not, Implies, And, Or, Forall, Exists, Box]
@@ -302,158 +365,122 @@ def boxdot(f: Formula) -> Formula:
 
 _KEYWORDS = frozenset({"true", "false", "box", "dia", "forall", "exists"})
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<arrow2><->)
-  | (?P<arrow>->)
-  | (?P<punct>[()&|~.,\#])
-  | (?P<upper>[A-Z][A-Za-z0-9_]*)
-  | (?P<lower>[a-z][a-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
+# Whitespace separates tokens and matches none.
+_TOKEN_RE = re.compile(r"<->|->|[()&|~.,#]|[A-Z][A-Za-z0-9_]*|[a-z][a-z0-9_]*")
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            value = m.group()
-            if kind == "lower" and value in _KEYWORDS:
-                kind = value
-            tokens.append((kind, value, pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+# Binding strength of the binary connectives; only -> groups to the right.
+_BINARY = {"<->": 0, "->": 1, "|": 2, "&": 3}
 
 
 class _Parser:
+    """One parse: the tokens, ending in "", the position in them, the arities
+    seen, and the nodes built, one per class and child ids or field values."""
+
     def __init__(self, text: str, sig: Optional[Mapping[str, int]]):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        # The tokens hold every character but whitespace, or some other
+        # character is the first one left when they are blanked out.
+        if len("".join(self.tokens)) != len("".join(text.split())):
+            rest = _TOKEN_RE.sub(lambda m: " " * len(m[0]), text)
+            at = len(rest) - len(rest.lstrip())
+            raise ParseError(f"unexpected character {text[at]!r}", at)
+        self.tokens.append("")
         self.pos = 0
         self.strict = sig is not None
-        self.sig: dict[str, int] = dict(sig) if sig else {}
+        self.arities: dict[str, int] = dict(sig) if sig else {}
+        self.shared: dict[tuple, Formula] = {}
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def error(self, message: str, at: int, cls: type = ParseError) -> ParseError:
+        """The error at the at-th token; the end of the input is len(text)."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        return cls(message, (starts + [len(self.text)])[at])
 
-    def next(self) -> tuple[str, str, int]:
+    def node(self, cls: type, a: Formula, b: Optional[Formula] = None) -> Formula:
+        key = (cls, id(a), id(b))
+        f = self.shared.get(key)
+        if f is None:
+            f = self.shared[key] = cls(a) if b is None else cls(a, b)
+        return f
+
+    def expr(self, least: int) -> Formula:
+        """The formula from here up to the first binary connective that
+        binds less tightly than least: at 0 all of a parenthesis, at 4
+        one unary formula."""
         tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok == "(":
+            f = self.expr(0)
+            self.expect(")")
+        elif tok == "~":
+            f = self.node(Not, self.expr(4))
+        elif tok == "box":
+            f = self.node(Box, self.expr(4))
+        elif tok == "dia":
+            f = self.node(Not, self.node(Box, self.node(Not, self.expr(4))))
+        elif tok == "#":
+            name = self.variable("propositional variable name")
+            key = (PropVar, name)
+            f = self.shared.get(key) or self.shared.setdefault(key, PropVar(name))
+        elif tok == "forall" or tok == "exists":
+            var = self.variable("variable")
+            self.expect(".")
+            body = self.expr(4)
+            cls = Forall if tok == "forall" else Exists
+            key = (cls, var, id(body))
+            f = self.shared.get(key) or self.shared.setdefault(key, cls(var, body))
+        elif tok == "true":
+            f = TRUE
+        elif tok == "false":
+            f = FALSE
+        elif tok[:1].isupper():
+            f = self.atom(tok)
+        else:
+            raise self.error(f"expected formula, found {tok!r}", self.pos - 1)
+        while True:
+            op = self.tokens[self.pos]
+            prec = _BINARY.get(op, -1)
+            if prec < least:
+                return f
+            self.pos += 1
+            g = self.expr(prec + (op != "->"))
+            if op == "<->":
+                f = self.node(And, self.node(Implies, f, g), self.node(Implies, g, f))
+            else:
+                f = self.node(Implies if op == "->" else Or if op == "|" else And, f, g)
+
+    def expect(self, tok: str) -> None:
+        if self.tokens[self.pos] != tok:
+            raise self.error(f"expected {tok!r}, found {self.tokens[self.pos]!r}", self.pos)
+        self.pos += 1
+
+    def variable(self, what: str) -> str:
+        tok = self.tokens[self.pos]
+        if not tok.islower() or tok in _KEYWORDS:
+            raise self.error(f"expected {what}, found {tok!r}", self.pos)
         self.pos += 1
         return tok
 
-    def parse(self) -> Formula:
-        f = self.iff()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return f
-
-    def iff(self) -> Formula:
-        f = self.implies()
-        while self.peek()[0] == "arrow2":
-            self.next()
-            g = self.implies()
-            f = iff(f, g)
-        return f
-
-    def implies(self) -> Formula:
-        f = self.disj()
-        if self.peek()[0] == "arrow":
-            self.next()
-            return Implies(f, self.implies())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek()[1] == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek()[1] == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if value == "~":
-            self.next()
-            return Not(self.unary())
-        if kind == "box":
-            self.next()
-            return Box(self.unary())
-        if kind == "dia":
-            self.next()
-            return dia(self.unary())
-        if kind in ("forall", "exists"):
-            self.next()
-            var = self.variable()
-            tok = self.next()
-            if tok[1] != ".":
-                raise ParseError(f"expected '.', found {tok[1]!r}", tok[2])
-            body = self.unary()
-            return Forall(var, body) if kind == "forall" else Exists(var, body)
-        return self.primary()
-
-    def variable(self) -> str:
-        kind, value, pos = self.next()
-        if kind != "lower":
-            raise ParseError(f"expected variable, found {value!r}", pos)
-        return value
-
-    def primary(self) -> Formula:
-        kind, value, pos = self.next()
-        if kind == "true":
-            return TRUE
-        if kind == "false":
-            return FALSE
-        if value == "#":
-            name_kind, name, name_pos = self.next()
-            if name_kind != "lower":
-                raise ParseError(f"expected propositional variable name, found {name!r}", name_pos)
-            return PropVar(name)
-        if value == "(":
-            f = self.iff()
-            tok = self.next()
-            if tok[1] != ")":
-                raise ParseError(f"expected ')', found {tok[1]!r}", tok[2])
-            return f
-        if kind == "upper":
-            return self.atom(value, pos)
-        raise ParseError(f"expected formula, found {value!r}", pos)
-
-    def atom(self, pred: str, pos: int) -> Formula:
-        args: list[Term] = []
-        if self.peek()[1] == "(":
-            self.next()
-            args.append(Var(self.variable()))
-            while self.peek()[1] == ",":
-                self.next()
-                args.append(Var(self.variable()))
-            tok = self.next()
-            if tok[1] != ")":
-                raise ParseError(f"expected ')', found {tok[1]!r}", tok[2])
-        arity = len(args)
-        if pred in self.sig:
-            if self.sig[pred] != arity:
-                raise ArityMismatchError(
-                    f"predicate {pred} used with arity {arity}, expected {self.sig[pred]}", pos
-                )
-        elif self.strict:
-            raise UnknownPredicateError(f"unknown predicate {pred}", pos)
-        else:
-            self.sig[pred] = arity
-        return Atom(pred, tuple(args))
+    def atom(self, pred: str) -> Formula:
+        at = self.pos - 1
+        names = []
+        if self.tokens[self.pos] == "(":
+            self.pos += 1
+            names.append(self.variable("variable"))
+            while self.tokens[self.pos] == ",":
+                self.pos += 1
+                names.append(self.variable("variable"))
+            self.expect(")")
+        arity, known = len(names), self.arities.get(pred)
+        if known is None:
+            if self.strict:
+                raise self.error(f"unknown predicate {pred}", at, UnknownPredicateError)
+            self.arities[pred] = arity
+        elif known != arity:
+            message = f"predicate {pred} used with arity {arity}, expected {known}"
+            raise self.error(message, at, ArityMismatchError)
+        key = (Atom, pred, *names)
+        return self.shared.get(key) or self.shared.setdefault(key, Atom(pred, tuple(map(Var, names))))
 
 
 def parse(text: str, sig: Optional[Mapping[str, int]] = None) -> Formula:
@@ -461,59 +488,31 @@ def parse(text: str, sig: Optional[Mapping[str, int]] = None) -> Formula:
 
     With a signature, atoms are checked against it; without one, arities
     are inferred from first use and later uses must be consistent.
+    Structurally equal subformulas of the text become one object.
     """
+    p = _Parser(text, sig)
     try:
-        return _Parser(text, sig).parse()
+        f = p.expr(0)
     except RecursionError:
         raise TooDeepError("formula nests too deeply to parse") from None
+    if p.tokens[p.pos]:
+        raise p.error(f"unexpected trailing input {p.tokens[p.pos]!r}", p.pos)
+    return f
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
-
-
-def _fmt(f: Formula, needed: int) -> str:
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, PropVar):
-        return "#" + f.name
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.pred
-        return f.pred + "(" + ", ".join(t.name for t in f.args) + ")"
-    if isinstance(f, Not):
-        return _wrap("~" + _fmt(f.body, _PREC_UNARY), _PREC_UNARY, needed)
-    if isinstance(f, Box):
-        return _wrap("box " + _fmt(f.body, _PREC_UNARY), _PREC_UNARY, needed)
-    if isinstance(f, Forall):
-        return _wrap(f"forall {f.var}. " + _fmt(f.body, _PREC_UNARY), _PREC_UNARY, needed)
-    if isinstance(f, Exists):
-        return _wrap(f"exists {f.var}. " + _fmt(f.body, _PREC_UNARY), _PREC_UNARY, needed)
-    if isinstance(f, And):
-        return _wrap(_fmt(f.left, _PREC_AND) + " & " + _fmt(f.right, _PREC_AND + 1), _PREC_AND, needed)
-    if isinstance(f, Or):
-        return _wrap(_fmt(f.left, _PREC_OR) + " | " + _fmt(f.right, _PREC_OR + 1), _PREC_OR, needed)
-    if isinstance(f, Implies):
-        return _wrap(
-            _fmt(f.left, _PREC_IMPLIES + 1) + " -> " + _fmt(f.right, _PREC_IMPLIES), _PREC_IMPLIES, needed
-        )
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _wrap(text: str, prec: int, needed: int) -> str:
-    return text if prec >= needed else "(" + text + ")"
-
-
 def format_formula(f: Formula) -> str:
-    """Render a formula so that parsing the result reproduces it exactly."""
-    return _fmt(f, 0)
+    """Render a formula so that parsing the result reproduces it exactly.
+    Each node prints once per required precedence; a text longer than
+    _BUDGET characters raises OutputTooLargeError before any is built."""
+    if f._width > _BUDGET:
+        raise OutputTooLargeError(f"printed formula would have {f._width} characters, over 10^7")
+    try:
+        return f._print(0, {})
+    except RecursionError:
+        raise TooDeepError("formula nests too deeply") from None
 
 
 for _cls in (Top, Bottom, Atom, PropVar, Not, Implies, And, Or, Forall, Exists, Box):

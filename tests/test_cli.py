@@ -115,6 +115,33 @@ def test_formula_too_deep_for_the_evaluator_is_a_single_error_line():
     assert proc.stdout == ""
 
 
+def test_deep_boxes_end_in_a_result_or_one_too_deep_line(tmp_path, capsys):
+    model = tmp_path / "m.txt"
+    model.write_text(format_model(chain_model(2)), encoding="utf-8")
+    for k in range(100, 1000, 100):
+        text = "box (" * k + "R" + ")" * k
+        for argv in (
+            ["fixpoint", text, "--logic", "qk-bot", "--n", "1"],
+            ["check", text, "--model", str(model)],
+            ["verify-fixpoint", text, "--n", "1", "--random", "3"],
+        ):
+            code = cli.main(argv, io.StringIO())
+            err = capsys.readouterr().err
+            assert (code, err) == (0, "") or (
+                code == 1 and err.startswith("error: too-deep: ") and err.count("\n") == 1
+            ), (k, argv[0], code, err)
+
+
+def test_fixpoint_over_the_print_budget_is_one_error_line(capsys):
+    out = io.StringIO()
+    code = cli.main(["fixpoint", "box #p & box ~#p", "--logic", "qk-bot", "--n", "20"], out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: bound-explosion: ")
+    assert err.count("\n") == 1
+    assert out.getvalue() == ""
+
+
 def test_formula_from_file(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("~box #p\n", encoding="utf-8")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -28,7 +29,7 @@ from modalfix.kripke import (
     validate_model,
 )
 from modalfix.countermodel import chain_model
-from modalfix.syntax import And, Atom, Box, Const, parse
+from modalfix.syntax import FALSE, And, Atom, Box, Const, Not, TooDeepError, parse
 
 
 def two_chain() -> KripkeModel:
@@ -296,6 +297,32 @@ def test_random_model_postconditions():
         assert frame_report(m).transitive
 
 
+def _pinned_specs():
+    sigs = [{"P": 1}, {"P": 1, "R": 2}, {"Q": 0, "P": 1}, {}]
+    requires = [frozenset(), frozenset({"transitive"}), frozenset({"irreflexive"}),
+                frozenset({"transitive", "irreflexive"})]
+    for i in range(300):
+        yield ModelGenSpec(
+            world_count=(1 + i % 3, 3 + i % 13 + (60 if i % 50 == 0 else 0)),
+            height_bound=i % 5,
+            signature=sigs[i % 4],
+            domain_base_size=(1, 1 + i % 3),
+            domain_growth=(0, i % 3),
+            truth_density=(0.5, 0.2, 0.8)[i % 3],
+            require=requires[(i // 4) % 4],
+            seed=i,
+        )
+
+
+def test_random_models_are_pinned():
+    # The digest of these 300 models as generated before domain sizes
+    # were read from predecessor lists: the draws and their order stay.
+    digest = hashlib.md5()
+    for s in _pinned_specs():
+        digest.update(format_model(random_model(s)).encode())
+    assert digest.hexdigest() == "397d3c73e97f725282ea08ef09638848"
+
+
 def test_random_model_respects_domain_ranges():
     m = random_model(spec(domain_base_size=(3, 3), domain_growth=(0, 0), seed=1))
     roots = [w for w in m.worlds if not any(a == w for a, _ in m.rel)]
@@ -418,3 +445,21 @@ def test_format_model_is_sorted_and_stable():
     lines = text.splitlines()
     assert lines[0] == "worlds: 2"
     assert "domain: 0 a b" in lines
+
+
+def test_formula_too_deep_for_the_evaluator_raises_too_deep():
+    # ~ ... ~box false with 975 negations, built directly: parsing it
+    # needs more stack than a test has left.
+    f = Box(FALSE)
+    for _ in range(975):
+        f = Not(f)
+    m = chain_model(1)
+    for check in (
+        lambda: truth_mask(m, f),
+        lambda: batch_truth_masks(m, [f]),
+        lambda: pool_truth_masks([m, m], [f]),
+        lambda: valid_in_model(m, f),
+        lambda: first_failing_world(m, f),
+    ):
+        with pytest.raises(TooDeepError, match="^formula nests too deeply$"):
+            check()

@@ -104,7 +104,15 @@ closed_box_free = formulas(
 
 @given(formulas())
 def test_parse_print_round_trip(f: Formula):
-    assert parse(format_formula(f)) == f
+    back = parse(format_formula(f))
+    assert back == f
+    # Structurally equal subformulas of one parse are one object.
+    first: dict[Formula, Formula] = {}
+    stack = [back]
+    while stack:
+        g = stack.pop()
+        assert first.setdefault(g, g) is g
+        stack += [getattr(g, a) for a in ("body", "left", "right") if hasattr(g, a)]
 
 
 @given(formulas(), st.integers(0, 4))

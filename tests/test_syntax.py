@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from modalfix.fixpoint import fixpoint_qk
@@ -17,9 +19,11 @@ from modalfix.syntax import (
     FixpointTarget,
     Forall,
     Implies,
+    LogicError,
     Not,
     NotDecomposableError,
     Or,
+    OutputTooLargeError,
     ParseError,
     PropVar,
     TRUE,
@@ -112,6 +116,66 @@ def test_parse_errors_carry_position():
         parse("#p $ #q")
     with pytest.raises(ParseError):
         parse("forall box. P(u)")
+
+
+# Malformed inputs with the error class and message, position included,
+# that the parser gave before its rewrite as one precedence-climbing
+# function. Together they reach every error the parser raises.
+PARSE_ERRORS = [
+    ('#p $ #q', None, ParseError, "unexpected character '$' (at position 3)"),
+    ('P(u) - Q', None, ParseError, "unexpected character '-' (at position 5)"),
+    ('#p <- #q', None, ParseError, "unexpected character '<' (at position 3)"),
+    ('box 2', None, ParseError, "unexpected character '2' (at position 4)"),
+    ('_x', None, ParseError, "unexpected character '_' (at position 0)"),
+    ('#p #q', None, ParseError, "unexpected trailing input '#' (at position 3)"),
+    ('P(u) )', None, ParseError, "unexpected trailing input ')' (at position 5)"),
+    ('(#p) (#q)', None, ParseError, "unexpected trailing input '(' (at position 5)"),
+    ('forall u P(u)', None, ParseError, "expected '.', found 'P' (at position 9)"),
+    ('exists u', None, ParseError, "expected '.', found '' (at position 8)"),
+    ('forall box. P(u)', None, ParseError, "expected variable, found 'box' (at position 7)"),
+    ('forall U. P(u)', None, ParseError, "expected variable, found 'U' (at position 7)"),
+    ('P(true)', None, ParseError, "expected variable, found 'true' (at position 2)"),
+    ('P(u, V)', None, ParseError, "expected variable, found 'V' (at position 5)"),
+    ('exists', None, ParseError, "expected variable, found '' (at position 6)"),
+    ('#P', None, ParseError, "expected propositional variable name, found 'P' (at position 1)"),
+    ('#box', None, ParseError, "expected propositional variable name, found 'box' (at position 1)"),
+    ('# (', None, ParseError, "expected propositional variable name, found '(' (at position 2)"),
+    ('#', None, ParseError, "expected propositional variable name, found '' (at position 1)"),
+    ('(#p & #q', None, ParseError, "expected ')', found '' (at position 8)"),
+    ('P(u, v', None, ParseError, "expected ')', found '' (at position 6)"),
+    ('P(u v)', None, ParseError, "expected ')', found 'v' (at position 4)"),
+    ('((R)', None, ParseError, "expected ')', found '' (at position 4)"),
+    ('#p & )', None, ParseError, "expected formula, found ')' (at position 5)"),
+    ('->', None, ParseError, "expected formula, found '->' (at position 0)"),
+    ('', None, ParseError, "expected formula, found '' (at position 0)"),
+    ('   ', None, ParseError, "expected formula, found '' (at position 3)"),
+    ('~', None, ParseError, "expected formula, found '' (at position 1)"),
+    ('box (#p -> ', None, ParseError, "expected formula, found '' (at position 11)"),
+    ('#p | ', None, ParseError, "expected formula, found '' (at position 5)"),
+    ('Q(u)', {'P': 1}, UnknownPredicateError, 'unknown predicate Q (at position 0)'),
+    ('P & Q', {'P': 0}, UnknownPredicateError, 'unknown predicate Q (at position 4)'),
+    ('R', {}, UnknownPredicateError, 'unknown predicate R (at position 0)'),
+    ('P(u, v)', {'P': 1}, ArityMismatchError, 'predicate P used with arity 2, expected 1 (at position 0)'),
+    ('P(u) & P(u, v)', None, ArityMismatchError, 'predicate P used with arity 2, expected 1 (at position 7)'),
+    ('P & P(u)', None, ArityMismatchError, 'predicate P used with arity 1, expected 0 (at position 4)'),
+    ('P(u)', {'P': 0}, ArityMismatchError, 'predicate P used with arity 1, expected 0 (at position 0)'),
+    ('dia dia #p <-> ', None, ParseError, "expected formula, found '' (at position 15)"),
+    ('forall u. exists v. R(u, v) -> #q |', None, ParseError, "expected formula, found '' (at position 35)"),
+    ('#p\t&\n', None, ParseError, "expected formula, found '' (at position 5)"),
+    ('box ) $', None, ParseError, "unexpected character '$' (at position 6)"),
+    ('P(u) ∧ Q', None, ParseError, "unexpected character '∧' (at position 5)"),
+    ('#p\xa0& #q |', None, ParseError, "expected formula, found '' (at position 9)"),
+    ('R(xé)', None, ParseError, "unexpected character 'é' (at position 3)"),
+    ('P(u) & Q(v) -> R(u, v) <-> (S', None, ParseError, "expected ')', found '' (at position 29)"),
+]
+
+
+@pytest.mark.parametrize("text, sig, cls, message", PARSE_ERRORS)
+def test_parse_error_table(text, sig, cls, message):
+    with pytest.raises(LogicError) as e:
+        parse(text, sig)
+    assert type(e.value) is cls
+    assert str(e.value) == message
 
 
 def test_deep_nesting_raises_too_deep():
@@ -325,6 +389,34 @@ def test_rewrites_of_a_shared_dag_stay_linear():
     assert _spine_bottom(filled) == Box(Implies(TRUE, Atom("P", (Var("x"),))))
     for h in (cut, filled):
         assert _dag_size(h) <= 64 + 4
+
+
+def test_staged_text_parses_back_to_a_dag():
+    r = fixpoint_qk(FixpointTarget(parse("box #p & box ~#p"), "p"), 12).result
+    back = parse(format_formula(r))
+    assert back == r
+    assert _dag_size(back) <= _dag_size(r)
+
+
+def test_large_staged_result_prints_byte_identically():
+    r = fixpoint_qk(FixpointTarget(parse("box #p & box ~#p"), "p"), 18).result
+    text = format_formula(r)
+    assert len(text) == 7_077_872
+    assert hashlib.md5(text.encode()).hexdigest() == "f250a0218fcfa9d90e07394c79137d16"
+
+
+def test_printing_over_budget_raises_before_building_text():
+    with pytest.raises(OutputTooLargeError) as e:
+        format_formula(_doubled(BASE))
+    assert e.value.code == "bound-explosion"
+    r = fixpoint_qk(FixpointTarget(parse("box #p & box ~#p"), "p"), 30).result
+    with pytest.raises(OutputTooLargeError):
+        format_formula(r)
+
+
+def test_printing_too_deep_raises_too_deep():
+    with pytest.raises(TooDeepError):
+        format_formula(boxes(5000, TRUE))
 
 
 def test_staged_construction_is_linear_in_n():
