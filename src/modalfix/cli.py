@@ -334,8 +334,10 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
         print(f"error: io-error: {e}", file=sys.stderr)
         return 1
     except RecursionError:
-        # Formulas the parser accepts can still nest too deeply for the
-        # recursive rewrites.
+        # What still recurses once per level of a formula the parser
+        # accepts: fixpoint._sigma_step and report_lines on deeply nested
+        # guarded formulas, _simultaneous_with_steps once per guarded
+        # part, and the dataclass == of formula nodes.
         print("error: too-deep: formula nests too deeply", file=sys.stderr)
         return 1
 

@@ -175,11 +175,8 @@ def sigma_fixpoint(target: FixpointTarget) -> SigmaFixpointResult:
     exists recurse into their parts and combine the results.
     """
     f, hole = target.formula, target.hole
-    if not is_sigma(f):
-        raise NotSigmaError(f"{format_formula(f)} is not generated from boxes by &, | and exists")
-    _check_normalized(f)
-    step = _sigma_step(f, hole)
-    return SigmaFixpointResult(f, hole, step.result, step)
+    [result], [step] = _simultaneous_with_steps([f], [hole])
+    return SigmaFixpointResult(f, hole, result, step)
 
 
 def simultaneous_sigma_fixpoints(

@@ -415,26 +415,25 @@ def first_failing_world(m: KripkeModel, f: Formula) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # Frame analysis
 
-def _heights(worlds: Sequence[int], succ: Mapping[int, tuple[int, ...]]) -> Optional[dict[int, int]]:
-    color: dict[int, int] = {}
+def _heights(worlds: Sequence[int], succ: Mapping[int, Sequence[int]]) -> Optional[dict[int, int]]:
+    # Heights in depth-first finishing order, or None on a cycle. The path
+    # is an explicit stack, so long chains need no recursion depth.
     heights: dict[int, int] = {}
-
-    def visit(w: int) -> bool:
-        color[w] = 1
-        h = 0
-        for v in succ[w]:
-            if color.get(v) == 1:
-                return False
-            if v not in heights and not visit(v):
-                return False
-            h = max(h, heights[v] + 1)
-        color[w] = 2
-        heights[w] = h
-        return True
-
-    for w in worlds:
-        if w not in heights and not visit(w):
-            return None
+    for root in worlds:
+        if root in heights:
+            continue
+        path = {root: iter(succ[root])}  # each world on it, and its successors left
+        while path:
+            w = next(reversed(path))
+            for v in path[w]:
+                if v in path:
+                    return None
+                if v not in heights:
+                    path[v] = iter(succ[v])
+                    break
+            else:
+                del path[w]
+                heights[w] = max([heights[v] + 1 for v in succ[w]], default=0)
     return heights
 
 
@@ -671,15 +670,13 @@ def _candidate_rels(
         rel = frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
         if "irreflexive" in require and any(a == b for a, b in rel):
             continue
-        if "transitive" in require:
-            succ: dict[int, list[int]] = {w: [] for w in range(k)}
-            for a, b in rel:
-                succ[a].append(b)
-            if any((a, c) not in rel for a, b in rel for c in succ[b]):
-                continue
+        succ: dict[int, list[int]] = {w: [] for w in range(k)}
+        for a, b in rel:
+            succ[a].append(b)
+        if "transitive" in require and any((a, c) not in rel for a, b in rel for c in succ[b]):
+            continue
         if max_height is not None:
-            succ2 = {w: tuple(b for a, b in rel if a == w) for w in range(k)}
-            heights = _heights(range(k), succ2)
+            heights = _heights(range(k), succ)
             if heights is None or max(heights.values()) > max_height:
                 continue
         out.append(rel)

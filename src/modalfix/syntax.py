@@ -11,8 +11,11 @@ terms of them; <-> and dia are parser sugar and never appear in ASTs.
 Formulas are immutable DAGs whose stages share subformulas. Their
 scope-free facts (free and bound variables, propositional variables,
 constants, predicate arities, the hash) are computed once per node and
-cached on it, and truncate, subst_at_depths and subst_prop_map share
-one rebuild that visits each (node, box depth) pair once.
+cached on it. Every rewrite (truncate, the substitutions,
+normalize_variables, decompose_boolean_sigma) is one rebuild that visits
+each (node, context) pair once on an explicit stack, so only the parser
+and the printer recurse, and both raise TooDeepError when they run out
+of depth.
 
 parse makes structurally equal subformulas of one text one object, so
 text read back is a DAG too. format_formula prints each node once per
@@ -29,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from operator import is_not
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -561,6 +565,11 @@ def universal_closure(f: Formula) -> Formula:
     return f
 
 
+def _fresh_names(prefix: str, taken: frozenset[str]) -> Iterator[str]:
+    """prefix0, prefix1, ... less the names taken."""
+    return (f"{prefix}{i}" for i in count() if f"{prefix}{i}" not in taken)
+
+
 def normalize_variables(target: FixpointTarget) -> FixpointTarget:
     """Rename bound variables that also occur free, making the two sets disjoint.
 
@@ -573,32 +582,21 @@ def normalize_variables(target: FixpointTarget) -> FixpointTarget:
     offenders = sorted(free & bound)
     if not offenders:
         return target
-    used = set(free | bound)
-    renames: dict[str, str] = {}
-    counter = 0
-    for name in offenders:
-        while f"u{counter}" in used:
-            counter += 1
-        renames[name] = f"u{counter}"
-        used.add(f"u{counter}")
+    renames = dict(zip(offenders, _fresh_names("u", free | bound)))
 
-    def go(f: Formula, active: Mapping[str, str]) -> Formula:
-        if isinstance(f, Atom):
-            args = tuple(
-                Var(active[t.name]) if isinstance(t, Var) and t.name in active else t for t in f.args
-            )
-            return Atom(f.pred, args)
-        if isinstance(f, _Binder):
-            inner = {k: v for k, v in active.items() if k != f.var}
-            if f.var in renames:
-                inner[f.var] = renames[f.var]
-            return type(f)(renames.get(f.var, f.var), go(f.body, inner))
-        new_kids = []
-        for k in f._kids():  # a loop, not a comprehension: one frame per level
-            new_kids.append(go(k, active))
-        return f._with(new_kids) if new_kids else f
+    def leaf(g: Formula, scope: frozenset[str]) -> Optional[Formula]:
+        # The occurrences bound by a renamed binder take its new name.
+        if isinstance(g, Atom) and not scope.isdisjoint(free_individual_vars(g)):
+            args = (Var(renames[t.name]) if isinstance(t, Var) and t.name in scope else t for t in g.args)
+            return Atom(g.pred, tuple(args))
+        return None
 
-    return FixpointTarget(go(f, {}), target.hole)
+    def enter(g: Formula, scope: frozenset[str]) -> tuple[frozenset[str], Formula]:
+        if isinstance(g, _Binder) and g.var in renames:
+            return scope | {g.var}, type(g)(renames[g.var], g.body)
+        return scope, g
+
+    return FixpointTarget(_rebuild(f, frozenset(), leaf, enter), target.hole)
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +605,14 @@ def normalize_variables(target: FixpointTarget) -> FixpointTarget:
 def occurrence_depths(f: Formula, hole: str) -> list[int]:
     """Box nesting depths of each occurrence of #hole, left to right."""
     out: list[int] = []
-
-    def go(f: Formula, d: int) -> None:
-        if isinstance(f, PropVar) and f.name == hole:
+    todo = [(f, 0)]
+    while todo:
+        g, d = todo.pop()
+        if isinstance(g, PropVar) and g.name == hole:
             out.append(d)
-        for k in f._kids():
-            go(k, d + 1 if isinstance(f, Box) else d)
-
-    go(f, 0)
+        d += isinstance(g, Box)
+        for k in reversed(g._kids()):
+            todo.append((k, d))
     return out
 
 
@@ -623,35 +621,45 @@ def is_modalized(f: Formula, hole: str) -> bool:
     return hole not in prop_vars(truncate(f, 0))
 
 
-def _rebuild(f: Formula, leaf: Callable[[Formula, int], Optional[Formula]]) -> Formula:
-    """Rewrite f once per (subformula, box depth), in tree order.
-
-    leaf(g, d) gives the replacement of g at box depth d, or None to
-    rebuild g from its rewritten children. Unchanged subformulas come
-    back as the same object, so results share structure with inputs.
-    """
-    done: dict[tuple[Formula, int], Optional[Formula]] = {}  # None: unchanged
-
-    def go(g: Formula, d: int) -> Formula:
-        new = leaf(g, d)
-        if new is not None:
-            return new
-        kids = g._kids()
-        if not kids:
-            return g
-        if (g, d) in done:
-            new = done[(g, d)]
+def _rebuild(f: Formula, c: object, leaf: Callable[[Formula, object], Optional[Formula]],
+             enter: Callable[[Formula, object], tuple[object, Formula]]) -> Formula:
+    """Rewrite f from context c, once per (subformula, context), in tree
+    order. leaf(g, c) gives the replacement of g, or None to rebuild g
+    from its children; enter(g, c) then gives their context and the node
+    to rebuild, g or g with other fields. A node whose children come
+    back unchanged comes back as that node."""
+    # An explicit stack, so deep formulas need no recursion depth. Rebuilt
+    # pairs are memoized by value within the call, so a shared DAG costs
+    # its size, not its tree size.
+    done: dict[tuple, Formula] = {}
+    out: list[Formula] = []  # the results of the finished subformulas
+    # The pairs to visit. Below each None lies (pair, node, children): when
+    # the None comes off, the children's results are on top of out.
+    todo: list = [(f, c)]
+    while todo:
+        key = todo.pop()
+        if key is None:
+            key, g, kids = todo.pop()
+            new = out[-len(kids):]
+            del out[-len(kids):]
+            new = done[key] = g._with(new) if any(map(is_not, new, kids)) else g
         else:
-            dk = d + 1 if isinstance(g, Box) else d
-            new_kids = []
-            for k in kids:  # a loop, not a comprehension: one frame per level
-                new_kids.append(go(k, dk))
-            if any(map(is_not, new_kids, kids)):
-                new = g._with(new_kids)
-            done[(g, d)] = new
-        return g if new is None else new
+            g, c = key
+            new = leaf(g, c)
+            if new is None and (kids := g._kids()):
+                new = done.get(key)
+                if new is None:
+                    c, g = enter(g, c)
+                    todo += (key, g, kids), None
+                    for k in reversed(kids):
+                        todo.append((k, c))
+                    continue
+        out.append(g if new is None else new)
+    return out[0]
 
-    return go(f, 0)
+
+def _box_depth(g: Formula, d: int) -> tuple[int, Formula]:
+    return d + 1 if type(g) is Box else d, g
 
 
 def truncate(f: Formula, n: int) -> Formula:
@@ -663,7 +671,7 @@ def truncate(f: Formula, n: int) -> Formula:
     """
     if n < 0:
         raise ValueError("truncation depth must be >= 0")
-    return _rebuild(f, lambda g, d: TRUE if d == n and isinstance(g, Box) else None)
+    return _rebuild(f, 0, lambda g, d: TRUE if d == n and isinstance(g, Box) else None, _box_depth)
 
 
 def _check_capture(f: Formula, replacements: Sequence[Formula]) -> None:
@@ -694,13 +702,13 @@ def subst_at_depths(f: Formula, hole: str, subs: Sequence[Formula]) -> Formula:
             )
         return subs[d]
 
-    return _rebuild(f, leaf)
+    return _rebuild(f, 0, leaf, _box_depth)
 
 
 def subst_prop_map(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Substitute formulas for propositional variables, simultaneously."""
     _check_capture(f, list(mapping.values()))
-    return _rebuild(f, lambda g, d: mapping.get(g.name) if isinstance(g, PropVar) else None)
+    return _rebuild(f, 0, lambda g, d: mapping.get(g.name) if isinstance(g, PropVar) else None, _box_depth)
 
 
 def subst_prop(f: Formula, hole: str, b: Formula) -> Formula:
@@ -713,13 +721,16 @@ def subst_prop(f: Formula, hole: str, b: Formula) -> Formula:
 
 def is_sigma(f: Formula) -> bool:
     """True for formulas generated from box formulas by &, | and exists."""
-    if isinstance(f, Box):
-        return True
-    if isinstance(f, (And, Or)):
-        return is_sigma(f.left) and is_sigma(f.right)
-    if isinstance(f, Exists):
-        return is_sigma(f.body)
-    return False
+    todo, seen = [f], set()
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Box) or id(g) in seen:
+            continue
+        if not isinstance(g, (And, Or, Exists)):
+            return False
+        seen.add(id(g))
+        todo += g._kids()
+    return True
 
 
 @dataclass(frozen=True)
@@ -744,15 +755,6 @@ class BooleanDecomposition:
         return subst_prop_map(self.skeleton, mapping)
 
 
-def _fresh_prop_names(prefix: str, taken: frozenset[str]) -> Iterator[str]:
-    i = 0
-    while True:
-        name = f"{prefix}{i}"
-        if name not in taken:
-            yield name
-        i += 1
-
-
 def decompose_boolean_sigma(target: FixpointTarget) -> BooleanDecomposition:
     """Split a formula into a Boolean combination of guarded subformulas
     containing the hole and subformulas free of it.
@@ -765,31 +767,30 @@ def decompose_boolean_sigma(target: FixpointTarget) -> BooleanDecomposition:
     """
     f, hole = target.formula, target.hole
     taken = prop_vars(f)
-    sigma_names = _fresh_prop_names("q", taken)
-    rest_names = _fresh_prop_names("r", taken)
+    sigma_names = _fresh_names("q", taken)
+    rest_names = _fresh_names("r", taken)
     sigmas: list[Formula] = []
     rest: list[Formula] = []
     sigma_vars: list[str] = []
     rest_vars: list[str] = []
 
     def slot(g: Formula, pool: list[Formula], names: list[str], gen: Iterator[str]) -> Formula:
-        if g in pool:
-            return PropVar(names[pool.index(g)])
-        pool.append(g)
-        names.append(next(gen))
-        return PropVar(names[-1])
+        if g not in pool:
+            pool.append(g)
+            names.append(next(gen))
+        return PropVar(names[pool.index(g)])
 
-    def go(g: Formula) -> Formula:
+    def leaf(g: Formula, _: None) -> Optional[Formula]:
         if hole not in prop_vars(g):
             return slot(g, rest, rest_vars, rest_names)
         if is_sigma(g):
             return slot(g, sigmas, sigma_vars, sigma_names)
         if isinstance(g, (Not, Implies, And, Or)):
-            return g._with(list(map(go, g._kids())))  # one frame per level
+            return None
         raise NotDecomposableError(
             f"#{hole} occurs in {format_formula(g)}, which is neither guarded "
             "nor a Boolean combination"
         )
 
-    skeleton = go(f)
+    skeleton = _rebuild(f, None, leaf, lambda g, c: (c, g))
     return BooleanDecomposition(skeleton, tuple(sigmas), tuple(rest), tuple(sigma_vars), tuple(rest_vars))

@@ -188,6 +188,19 @@ def test_check_frame_report(m2_path):
     assert got["classes"] == "FI,FIFD,FH"
 
 
+def test_check_frame_on_a_long_chain(tmp_path, capsys):
+    # World i sees world i + 1: a valid model 1499 steps high.
+    m = KripkeModel(tuple(range(1500)), frozenset((i, i + 1) for i in range(1499)),
+                    {w: frozenset({"a"}) for w in range(1500)}, {}, {})
+    path = tmp_path / "chain.txt"
+    path.write_text(format_model(m), encoding="utf-8")
+    out = io.StringIO()
+    code = cli.main(["check", "true", "--model", str(path), "--frame"], out)
+    assert (code, capsys.readouterr().err) == (0, "")
+    pairs = as_dict(out.getvalue())
+    assert (pairs["height"], pairs["height.0"], pairs["valid"]) == ("1499", "1499", "true")
+
+
 def test_check_closes_free_variables(m2_path):
     # P(u) is checked as forall u. P(u), which fails on every chain world.
     proc = run_cli("check", "P(u)", "--model", m2_path)

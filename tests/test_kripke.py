@@ -246,6 +246,28 @@ def test_frame_report_nontransitive():
     assert r.classes == ()
 
 
+def _forward_chain(n: int) -> KripkeModel:
+    """World i sees world i + 1 only."""
+    return KripkeModel(
+        worlds=tuple(range(n)),
+        rel=frozenset((i, i + 1) for i in range(n - 1)),
+        domains={w: frozenset({"a"}) for w in range(n)},
+        interp={},
+        sig={},
+    )
+
+
+def test_frame_report_long_chain_needs_no_recursion_depth():
+    m = _forward_chain(1500)
+    r = frame_report(m)
+    assert r.conversely_well_founded and not r.transitive and r.irreflexive
+    assert r.frame_height == 1499
+    # Heights come in depth-first finishing order.
+    assert list(r.heights.items()) == [(w, 1499 - w) for w in range(1499, -1, -1)]
+    closed = dataclasses.replace(m, rel=m.rel | {(1499, 0)})
+    assert frame_report(closed).heights is None
+
+
 def test_generated_submodel():
     m = KripkeModel(
         worlds=(0, 1, 2),

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 
+from modalfix import syntax
 from modalfix.fixpoint import fixpoint_qk
 from modalfix.syntax import (
     And,
@@ -47,6 +50,7 @@ from modalfix.syntax import (
     prop_vars,
     subst_at_depths,
     subst_prop,
+    subst_prop_map,
     truncate,
     universal_closure,
 )
@@ -391,6 +395,14 @@ def test_rewrites_of_a_shared_dag_stay_linear():
         assert _dag_size(h) <= 64 + 4
 
 
+def test_normalizing_a_shared_dag_stays_linear():
+    clash = Or(Forall("u", Atom("Q", (Var("u"),))), Atom("P", (Var("u"),)))
+    g = normalize_variables(FixpointTarget(_doubled(clash), "p")).formula
+    assert _spine_bottom(g) == Or(Forall("u0", Atom("Q", (Var("u0"),))), Atom("P", (Var("u"),)))
+    assert free_and_bound_vars(g) == (frozenset({"u"}), frozenset({"u0"}))
+    assert _dag_size(g) <= 64 + 5
+
+
 def test_staged_text_parses_back_to_a_dag():
     r = fixpoint_qk(FixpointTarget(parse("box #p & box ~#p"), "p"), 12).result
     back = parse(format_formula(r))
@@ -448,3 +460,58 @@ def test_deep_chain_needs_no_recursion_depth():
     assert bound_individual_vars(normalize_variables(FixpointTarget(clash, "p")).formula) == {"u0"}
     negated = parse("~" * 600 + "box #p")
     assert decompose_boolean_sigma(FixpointTarget(negated, "p")).sigmas == (Box(PropVar("p")),)
+
+    # 3000 conjuncts: parse takes no recursion depth for them, and no
+    # rewrite or walk of syntax.py may take one per level.
+    chain = parse(" & ".join(["box #p"] * 3000))
+    assert truncate(chain, 1) is chain
+    assert _dag_size(truncate(chain, 0)) == 2999 + 1
+    assert _dag_size(subst_prop(chain, "p", TRUE)) == 2999 + 2
+    assert _dag_size(subst_prop_map(chain, {"p": TRUE})) == 2999 + 2
+    assert _dag_size(subst_at_depths(chain, "p", [TRUE, TRUE])) == 2999 + 2
+    assert is_sigma(chain)
+    assert not is_sigma(parse(" & ".join(["box #p"] * 2999 + ["#p"])))
+    assert not is_sigma(parse(" & ".join(["#p"] + ["box #p"] * 2999)))
+    assert occurrence_depths(chain, "p") == [1] * 3000
+    trace = fixpoint_qk(FixpointTarget(chain, "p"), 2)
+    assert trace.result.right.body is trace.stages[1]
+    assert decompose_boolean_sigma(FixpointTarget(chain, "p")).sigmas[0] is chain
+    negated = FixpointTarget(boxes(1, PropVar("p")), "p")
+    for _ in range(3000):
+        negated = FixpointTarget(Not(negated.formula), "p")
+    assert decompose_boolean_sigma(negated).sigmas == (Box(PropVar("p")),)
+    clash = And(parse(" & ".join(["box P(u)"] * 3000)), Forall("u", Atom("Q", (Var("u"),))))
+    assert bound_individual_vars(normalize_variables(FixpointTarget(clash, "p")).formula) == {"u0"}
+    nested = Atom("P", (Var("u"),))
+    for _ in range(3000):
+        nested = Forall("u", And(nested, Atom("Q", (Var("u"),))))
+    renamed = normalize_variables(FixpointTarget(And(nested, Atom("R", (Var("u"),))), "p")).formula
+    assert free_and_bound_vars(renamed) == (frozenset({"u"}), frozenset({"u0"}))
+
+
+def _self_calls(tree: ast.AST, prefix: str = "") -> set[str]:
+    """Functions and methods, named by their class or enclosing function,
+    whose body names themselves: a call, or a reference passed on."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(n, ast.Name) and n.id == node.name
+                # self.f or self.kid.f, but not super().f or frozenset().f
+                or isinstance(n, ast.Attribute) and n.attr == node.name and not isinstance(n.value, ast.Call)
+                for n in ast.walk(node)
+            ):
+                found.add(name)
+            found |= _self_calls(node, name + ".")
+        else:
+            found |= _self_calls(node, prefix)
+    return found
+
+
+def test_only_the_parser_and_the_printer_recurse():
+    # Every rewrite goes through _rebuild's explicit stack; the parser and
+    # the printer map RecursionError to TooDeepError.
+    found = _self_calls(ast.parse(Path(syntax.__file__).read_text(encoding="utf-8")))
+    assert "_Parser.expr" in found
+    assert found <= {"_Parser.expr", "_Parser.atom", "_Unary._print", "_Binary._print"}
