@@ -336,8 +336,8 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
     except RecursionError:
         # What still recurses once per level of a formula the parser
         # accepts: fixpoint._sigma_step and report_lines on deeply nested
-        # guarded formulas, _simultaneous_with_steps once per guarded
-        # part, and the dataclass == of formula nodes.
+        # guarded formulas, and _simultaneous_with_steps once per guarded
+        # part.
         print("error: too-deep: formula nests too deeply", file=sys.stderr)
         return 1
 

@@ -20,10 +20,10 @@ per position offset d the mask E_d of the worlds with an edge to the
 world d positions on; box S is the complement of the union over d of
 E_d & shift(~S, d). truth_mask and batch_truth_masks check a pool of
 one. The evaluator memoizes each subformula under its node identity,
-plus the values of its free variables (read from the facts cached on
-the node) when it has any. eval_formula is the plain recursive
-reference, one world at a time, that the tests compare the evaluator
-against.
+which interning makes its structure, plus the values of its free
+variables when it has any: equal subformulas of different sentences
+are evaluated once. eval_formula is the plain recursive reference, one
+world at a time, that the tests compare the evaluator against.
 
 A model caches its successor lists, sorted domains and bitmask tables
 on first use; dataclasses.replace gives a copy whose caches are cold.
@@ -258,8 +258,9 @@ class _UnionEvaluator:
         self.memo: dict[object, int] = {}
 
     def mask(self, f: Formula, env: dict[str, str]) -> int:
-        # Keyed by node identity, plus the values of f's free variables
-        # (cached on the node) in name order when it has any.
+        # Keyed by node identity, which is structural since nodes are
+        # interned, plus the values of f's free variables (cached on the
+        # node) in name order when it has any.
         fv = f._free_vars
         key = (id(f), *[env[v] for v in sorted(fv)]) if fv else id(f)
         got = self.memo.get(key)
@@ -360,8 +361,8 @@ def pool_truth_masks(models: Sequence[KripkeModel], sentences: Sequence[Formula]
 
     out[j][k] is the bitmask of the worlds (by position in models[j].worlds)
     where sentences[k] holds in models[j]. Truth is local to the generated
-    submodel, so the pool is checked as one disjoint union, and subformula
-    objects shared between the sentences are evaluated once. Each sentence
+    submodel, so the pool is checked as one disjoint union, and subformulas
+    shared between the sentences are evaluated once. Each sentence
     is checked, model by model in pool order, to be a sentence as the
     module docstring defines it; anything else raises EvalError. A
     sentence nested too deeply for the evaluator raises TooDeepError.

@@ -8,19 +8,17 @@ substitution holes for the fixed point constructions. The connectives
 guarded fragment recognized by is_sigma is defined structurally in
 terms of them; <-> and dia are parser sugar and never appear in ASTs.
 
-Formulas are immutable DAGs whose stages share subformulas. Their
-scope-free facts (free and bound variables, propositional variables,
-constants, predicate arities, the hash) are computed once per node and
-cached on it. Every rewrite (truncate, the substitutions,
-normalize_variables, decompose_boolean_sigma) is one rebuild that visits
-each (node, context) pair once on an explicit stack, so only the parser
-and the printer recurse, and both raise TooDeepError when they run out
-of depth.
-
-parse makes structurally equal subformulas of one text one object, so
-text read back is a DAG too. format_formula prints each node once per
-required precedence within a call, and raises OutputTooLargeError before
-building a text longer than _BUDGET characters.
+Formulas are immutable DAGs, and interned: building a node equal to a
+live one returns that one, so == is identity. Their scope-free facts
+(free and bound variables, propositional variables, constants, predicate
+arities, guardedness) are computed once per node and cached on it. Every
+rewrite (truncate, the substitutions, normalize_variables,
+decompose_boolean_sigma) is one rebuild that visits each (node, context)
+pair once on an explicit stack, so only the parser and the printer
+recurse, and both raise TooDeepError when they run out of depth.
+format_formula prints each node once per required precedence within a
+call, and raises OutputTooLargeError before building a text longer than
+_BUDGET characters.
 
 Domain constants (Const) never come from the surface grammar. They are
 injected by the model checking code, which instantiates quantifiers
@@ -30,8 +28,9 @@ with elements of a world's domain.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count
 from operator import is_not
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
@@ -120,12 +119,41 @@ def _union_fact(name: str) -> cached_property:
     return cached_property(union)
 
 
+# The live formula nodes under their class and fields: the one test of
+# formula equality. The values are weak references, so the table keeps no
+# node alive; a key holds the node's children, which the node holds anyway.
+_NODES: dict[tuple, weakref.ref] = {}
+
+
+def _forget(key: tuple, ref: weakref.ref) -> None:
+    # The node of ref has died; key may have a new node by now.
+    if _NODES.get(key) is ref:
+        del _NODES[key]
+
+
+def _intern(cls: type, *fields: object) -> Formula:
+    """The live node of class cls with these fields, made if there is none."""
+    key = (cls, *fields)
+    ref = _NODES.get(key)
+    if ref is None or (node := ref()) is None:
+        node = object.__new__(cls)
+        # As a frozen dataclass's __init__ does: no dict is made for the
+        # fields until a fact is cached.
+        for name, value in zip(cls.__match_args__, fields):
+            object.__setattr__(node, name, value)
+        _NODES[key] = weakref.ref(node, partial(_forget, key))
+    return node
+
+
 class _Node:
     """Shared base of the formula node classes.
 
+    Constructors, and so copies and unpickling, go through _intern: ==
+    and hash are those of object.
+
     Each fact is a cached property computed from the same fact of the
     children, which _fact computes first. The nodes are frozen, so a
-    cached fact cannot go stale; facts take no part in == or repr.
+    cached fact cannot go stale; facts take no part in repr.
 
     A node prints as its _head, before its body or between its children.
     _prec is how tightly it binds, _needs the least _prec of each child
@@ -135,26 +163,18 @@ class _Node:
     _prec = 4
     _needs: tuple[int, ...] = ()
 
+    # Each class's __new__ takes its fields, as a dataclass __init__ would.
+    __new__ = lambda cls: _intern(cls)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
     def _kids(self) -> tuple[Formula, ...]:
         return ()
 
     def _with(self, kids: Sequence[Formula]) -> Formula:
         """A node like this one with the given children."""
         return type(self)(*kids)
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        return _fact(self, "_hash") if h is None else h
-
-    def __getstate__(self) -> dict:
-        # Copies and pickles carry the fields only: string hashes, and so
-        # the cached hash, differ between processes.
-        return {name: getattr(self, name) for name in self.__match_args__}
-
-    @cached_property
-    def _hash(self) -> int:
-        # The value of the dataclass hash, over the cached child hashes.
-        return hash(tuple(getattr(self, name) for name in self.__match_args__))
 
     _free_vars = _union_fact("_free_vars")
     _bound_vars = _union_fact("_bound_vars")
@@ -172,6 +192,12 @@ class _Node:
         return len(self._head) + sum(
             _fact(k, "_width") + 2 * (k._prec < need) for k, need in zip(self._kids(), self._needs)
         )
+
+    @cached_property
+    def _sigma(self) -> bool:
+        # Whether the formula is guarded: see is_sigma.
+        kids = all(_fact(k, "_sigma") for k in self._kids())
+        return isinstance(self, Box) or kids and isinstance(self, (And, Or, Exists))
 
     def _print(self, need: int, done: dict) -> str:
         """The text where a _prec of at least need is required. Nodes with
@@ -200,6 +226,8 @@ def _fact(f: Formula, name: str):
 class _Unary(_Node):
     _needs = (4,)
 
+    __new__ = lambda cls, body: _intern(cls, body)
+
     def _kids(self) -> tuple[Formula, ...]:
         return (self.body,)
 
@@ -212,7 +240,13 @@ class _Unary(_Node):
         return s
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class _Binary(_Node):
+    left: "Formula"
+    right: "Formula"
+
+    __new__ = lambda cls, left, right: _intern(cls, left, right)
+
     def _kids(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
 
@@ -226,23 +260,25 @@ class _Binary(_Node):
         return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Top(_Node):
     _head = "true"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Bottom(_Node):
     _head = "false"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Atom(_Node):
     pred: str
     args: tuple[Term, ...] = ()
     _head = cached_property(
         lambda self: f"{self.pred}({', '.join(t.name for t in self.args)})" if self.args else self.pred
     )
+
+    __new__ = lambda cls, pred, args=(): _intern(cls, pred, args)
 
     @cached_property
     def _free_vars(self) -> frozenset[str]:
@@ -257,46 +293,48 @@ class Atom(_Node):
         return ((self.pred, len(self.args)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PropVar(_Node):
     name: str
     _head = cached_property(lambda self: "#" + self.name)
+
+    __new__ = lambda cls, name: _intern(cls, name)
 
     @cached_property
     def _prop_vars(self) -> frozenset[str]:
         return frozenset((self.name,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Not(_Unary):
     body: "Formula"
     _head = "~"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Implies(_Binary):
-    left: "Formula"
-    right: "Formula"
     _head, _prec, _needs = " -> ", 1, (2, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class And(_Binary):
-    left: "Formula"
-    right: "Formula"
     _head, _prec, _needs = " & ", 3, (3, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Or(_Binary):
-    left: "Formula"
-    right: "Formula"
     _head, _prec, _needs = " | ", 2, (2, 3)
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class _Binder(_Unary):
-    # Forall and Exists: the facts that the bound variable changes.
+    # Forall and Exists: their fields, and the facts that the bound
+    # variable changes.
+    var: str
+    body: "Formula"
     _head = cached_property(lambda self: f"{type(self).__name__.lower()} {self.var}. ")
+
+    __new__ = lambda cls, var, body: _intern(cls, var, body)
 
     def _with(self, kids: Sequence[Formula]) -> Formula:
         return type(self)(self.var, *kids)
@@ -310,19 +348,17 @@ class _Binder(_Unary):
         return _fact(self.body, "_bound_vars") | {self.var}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Forall(_Binder):
-    var: str
-    body: "Formula"
+    pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Exists(_Binder):
-    var: str
-    body: "Formula"
+    pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Box(_Unary):
     body: "Formula"
     _head = "box "
@@ -378,7 +414,7 @@ _BINARY = {"<->": 0, "->": 1, "|": 2, "&": 3}
 
 class _Parser:
     """One parse: the tokens, ending in "", the position in them, the arities
-    seen, and the nodes built, one per class and child ids or field values."""
+    seen, and the nodes built, under their class and child ids or names."""
 
     def __init__(self, text: str, sig: Optional[Mapping[str, int]]):
         self.text = text
@@ -401,6 +437,7 @@ class _Parser:
         return cls(message, (starts + [len(self.text)])[at])
 
     def node(self, cls: type, a: Formula, b: Optional[Formula] = None) -> Formula:
+        """cls(a) or cls(a, b). A hit here, common in printed stages, skips a constructor call."""
         key = (cls, id(a), id(b))
         f = self.shared.get(key)
         if f is None:
@@ -423,16 +460,11 @@ class _Parser:
         elif tok == "dia":
             f = self.node(Not, self.node(Box, self.node(Not, self.expr(4))))
         elif tok == "#":
-            name = self.variable("propositional variable name")
-            key = (PropVar, name)
-            f = self.shared.get(key) or self.shared.setdefault(key, PropVar(name))
+            f = PropVar(self.variable("propositional variable name"))
         elif tok == "forall" or tok == "exists":
             var = self.variable("variable")
             self.expect(".")
-            body = self.expr(4)
-            cls = Forall if tok == "forall" else Exists
-            key = (cls, var, id(body))
-            f = self.shared.get(key) or self.shared.setdefault(key, cls(var, body))
+            f = (Forall if tok == "forall" else Exists)(var, self.expr(4))
         elif tok == "true":
             f = TRUE
         elif tok == "false":
@@ -483,6 +515,7 @@ class _Parser:
         elif known != arity:
             message = f"predicate {pred} used with arity {arity}, expected {known}"
             raise self.error(message, at, ArityMismatchError)
+        # Looked up here first, as in node, and without building the Vars.
         key = (Atom, pred, *names)
         return self.shared.get(key) or self.shared.setdefault(key, Atom(pred, tuple(map(Var, names))))
 
@@ -492,7 +525,6 @@ def parse(text: str, sig: Optional[Mapping[str, int]] = None) -> Formula:
 
     With a signature, atoms are checked against it; without one, arities
     are inferred from first use and later uses must be consistent.
-    Structurally equal subformulas of the text become one object.
     """
     p = _Parser(text, sig)
     try:
@@ -519,10 +551,7 @@ def format_formula(f: Formula) -> str:
         raise TooDeepError("formula nests too deeply") from None
 
 
-for _cls in (Top, Bottom, Atom, PropVar, Not, Implies, And, Or, Forall, Exists, Box):
-    _cls.__str__ = format_formula  # type: ignore[assignment]
-    # The dataclass hash walks the whole tree; this one is cached per node.
-    _cls.__hash__ = _Node.__hash__  # type: ignore[assignment]
+_Node.__str__ = format_formula  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +658,8 @@ def _rebuild(f: Formula, c: object, leaf: Callable[[Formula, object], Optional[F
     to rebuild, g or g with other fields. A node whose children come
     back unchanged comes back as that node."""
     # An explicit stack, so deep formulas need no recursion depth. Rebuilt
-    # pairs are memoized by value within the call, so a shared DAG costs
-    # its size, not its tree size.
+    # pairs are memoized within the call, and equal nodes are one, so a
+    # shared DAG costs its size, not its tree size.
     done: dict[tuple, Formula] = {}
     out: list[Formula] = []  # the results of the finished subformulas
     # The pairs to visit. Below each None lies (pair, node, children): when
@@ -705,10 +734,15 @@ def subst_at_depths(f: Formula, hole: str, subs: Sequence[Formula]) -> Formula:
     return _rebuild(f, 0, leaf, _box_depth)
 
 
+def _same(g: Formula, c: object) -> tuple[object, Formula]:
+    return c, g
+
+
 def subst_prop_map(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Substitute formulas for propositional variables, simultaneously."""
     _check_capture(f, list(mapping.values()))
-    return _rebuild(f, 0, lambda g, d: mapping.get(g.name) if isinstance(g, PropVar) else None, _box_depth)
+    # Depth does not matter here, so each node is rebuilt once.
+    return _rebuild(f, None, lambda g, _: mapping.get(g.name) if isinstance(g, PropVar) else None, _same)
 
 
 def subst_prop(f: Formula, hole: str, b: Formula) -> Formula:
@@ -721,16 +755,7 @@ def subst_prop(f: Formula, hole: str, b: Formula) -> Formula:
 
 def is_sigma(f: Formula) -> bool:
     """True for formulas generated from box formulas by &, | and exists."""
-    todo, seen = [f], set()
-    while todo:
-        g = todo.pop()
-        if isinstance(g, Box) or id(g) in seen:
-            continue
-        if not isinstance(g, (And, Or, Exists)):
-            return False
-        seen.add(id(g))
-        todo += g._kids()
-    return True
+    return _fact(f, "_sigma")
 
 
 @dataclass(frozen=True)
@@ -769,22 +794,18 @@ def decompose_boolean_sigma(target: FixpointTarget) -> BooleanDecomposition:
     taken = prop_vars(f)
     sigma_names = _fresh_names("q", taken)
     rest_names = _fresh_names("r", taken)
-    sigmas: list[Formula] = []
-    rest: list[Formula] = []
-    sigma_vars: list[str] = []
-    rest_vars: list[str] = []
+    # Each part and its variable, in order of first occurrence.
+    sigmas: dict[Formula, str] = {}
+    rest: dict[Formula, str] = {}
 
-    def slot(g: Formula, pool: list[Formula], names: list[str], gen: Iterator[str]) -> Formula:
-        if g not in pool:
-            pool.append(g)
-            names.append(next(gen))
-        return PropVar(names[pool.index(g)])
+    def slot(g: Formula, pool: dict[Formula, str], gen: Iterator[str]) -> Formula:
+        return PropVar(pool.get(g) or pool.setdefault(g, next(gen)))
 
     def leaf(g: Formula, _: None) -> Optional[Formula]:
         if hole not in prop_vars(g):
-            return slot(g, rest, rest_vars, rest_names)
+            return slot(g, rest, rest_names)
         if is_sigma(g):
-            return slot(g, sigmas, sigma_vars, sigma_names)
+            return slot(g, sigmas, sigma_names)
         if isinstance(g, (Not, Implies, And, Or)):
             return None
         raise NotDecomposableError(
@@ -792,5 +813,6 @@ def decompose_boolean_sigma(target: FixpointTarget) -> BooleanDecomposition:
             "nor a Boolean combination"
         )
 
-    skeleton = _rebuild(f, None, leaf, lambda g, c: (c, g))
-    return BooleanDecomposition(skeleton, tuple(sigmas), tuple(rest), tuple(sigma_vars), tuple(rest_vars))
+    skeleton = _rebuild(f, None, leaf, _same)
+    return BooleanDecomposition(skeleton, tuple(sigmas), tuple(rest), tuple(sigmas.values()),
+                                tuple(rest.values()))

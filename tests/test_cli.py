@@ -142,6 +142,15 @@ def test_fixpoint_over_the_print_budget_is_one_error_line(capsys):
     assert out.getvalue() == ""
 
 
+def test_guarded_fixpoint_over_the_print_budget_is_one_error_line(capsys):
+    text = " & ".join(f"~box (#p & P{i})" for i in range(8))
+    out = io.StringIO()
+    code = cli.main(["fixpoint", text, "--logic", "qgl-sigma"], out)
+    err = capsys.readouterr().err
+    assert (code, out.getvalue()) == (1, "")
+    assert err.startswith("error: bound-explosion: ") and err.count("\n") == 1
+
+
 def test_formula_from_file(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("~box #p\n", encoding="utf-8")

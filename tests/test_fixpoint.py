@@ -20,6 +20,7 @@ from modalfix.syntax import (
     NotSigmaError,
     TRUE,
     parse,
+    prop_vars,
 )
 
 WORKED = FixpointTarget(parse("box (#p -> forall u. (Q(u) -> box #p))"), "p")
@@ -215,3 +216,13 @@ def test_boolean_sigma_rejects_undecomposable():
         boolean_sigma_fixpoint(FixpointTarget(parse("forall u. box (#p -> P(u))"), "p"))
     with pytest.raises(NotDecomposableError):
         boolean_sigma_fixpoint(FixpointTarget(parse("#p"), "p"))
+
+
+def test_boolean_sigma_of_eight_guarded_parts_is_a_small_dag():
+    # Eight simultaneous equations; their solution prints in about 10^54
+    # characters but shares its parts.
+    text = " & ".join(f"~box (#p & P{i})" for i in range(8))
+    r = boolean_sigma_fixpoint(FixpointTarget(parse(text), "p"))
+    assert len(r.derivation.children) == 8
+    assert prop_vars(r.result) == frozenset()
+    assert len(str(r.result._width)) == 54

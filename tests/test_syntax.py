@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import ast
+import copy
+import dataclasses
+import gc
 import hashlib
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -404,10 +410,8 @@ def test_normalizing_a_shared_dag_stays_linear():
 
 
 def test_staged_text_parses_back_to_a_dag():
-    r = fixpoint_qk(FixpointTarget(parse("box #p & box ~#p"), "p"), 12).result
-    back = parse(format_formula(r))
-    assert back == r
-    assert _dag_size(back) <= _dag_size(r)
+    r = fixpoint_qk(FixpointTarget(parse("box #p & box ~#p"), "p"), 16).result
+    assert parse(format_formula(r)) is r
 
 
 def test_large_staged_result_prints_byte_identically():
@@ -480,6 +484,10 @@ def test_deep_chain_needs_no_recursion_depth():
     for _ in range(3000):
         negated = FixpointTarget(Not(negated.formula), "p")
     assert decompose_boolean_sigma(negated).sigmas == (Box(PropVar("p")),)
+    # Guarded only from the second conjunct up: each level is judged once.
+    late = parse(" & ".join(["R"] + ["box #p"] * 3000))
+    split = decompose_boolean_sigma(FixpointTarget(late, "p"))
+    assert (split.sigmas, split.rest) == ((Box(PropVar("p")),), (Atom("R"),))
     clash = And(parse(" & ".join(["box P(u)"] * 3000)), Forall("u", Atom("Q", (Var("u"),))))
     assert bound_individual_vars(normalize_variables(FixpointTarget(clash, "p")).formula) == {"u0"}
     nested = Atom("P", (Var("u"),))
@@ -487,6 +495,49 @@ def test_deep_chain_needs_no_recursion_depth():
         nested = Forall("u", And(nested, Atom("Q", (Var("u"),))))
     renamed = normalize_variables(FixpointTarget(And(nested, Atom("R", (Var("u"),))), "p")).formula
     assert free_and_bound_vars(renamed) == (frozenset({"u"}), frozenset({"u0"}))
+
+
+def test_equal_formulas_are_one_object():
+    # Built apart: == is identity, so it needs no recursion depth either.
+    a, b = boxes(3000, Atom("P", (Var("x"),))), boxes(3000, Atom("P", (Var("x"),)))
+    assert a is b and a == b
+    assert Atom("R") is Atom(pred="R", args=()) is parse("R")
+    assert Forall(body=TRUE, var="u") is Forall("u", TRUE)
+
+
+def test_copies_and_unpickled_nodes_are_interned():
+    text = "(forall u. (P(u) & R) | #p) -> true & ~box false | exists v. Q(v)"
+    f = parse(text)
+    stack, kinds = [f], set()
+    while stack:
+        g = stack.pop()
+        kinds.add(type(g))
+        stack += g._kids()
+        assert copy.copy(g) is g and copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+        assert dataclasses.replace(g) is g
+        assert type(g)(**{name: getattr(g, name) for name in g.__match_args__}) is g
+    assert len(kinds) == 11
+    assert dataclasses.replace(f.left, right=TRUE) is Or(f.left.left, TRUE)
+    g = _doubled(BASE)
+    assert pickle.loads(pickle.dumps(g)) is g
+    # Another process has other string hashes: its copy is interned there.
+    code = "import pickle, sys; from modalfix.syntax import parse; " \
+           "print(pickle.load(sys.stdin.buffer) is parse(sys.argv[1]))"
+    proc = subprocess.run([sys.executable, "-c", code, text], input=pickle.dumps(f),
+                          capture_output=True, check=True)
+    assert proc.stdout == b"True\n"
+
+
+def test_the_node_table_keeps_no_node_alive():
+    gc.collect()
+    before = len(syntax._NODES)
+    made = [parse(f"P(x{i}) & #q{i} | box true") for i in range(10_000)]
+    assert format_formula(made[-1]) == "P(x9999) & #q9999 | box true"
+    assert len(syntax._NODES) >= before + 4 * 10_000
+    del made
+    gc.collect()
+    assert len(syntax._NODES) == before
 
 
 def _self_calls(tree: ast.AST, prefix: str = "") -> set[str]:
