@@ -72,6 +72,7 @@ from .kripke import (
     KripkeModel,
     ModelError,
     ModelGenSpec,
+    ModelPool,
     batch_truth_masks,
     enumerate_models,
     eval_formula,
@@ -80,7 +81,6 @@ from .kripke import (
     frame_report,
     generated_submodel,
     parse_model,
-    pool_truth_masks,
     random_model,
     truth_mask,
     valid_in_model,

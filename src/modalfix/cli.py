@@ -125,15 +125,16 @@ def _first_invalid(
     checked = 0
     for chunk in _chunks(models):
         try:
-            masks = kripke.pool_truth_masks(chunk, [sentence])
+            pool = kripke.ModelPool(chunk)
+            j = pool.first_failing(pool.masks([sentence])[0])
         except LogicError:
             # One model at a time, so that a model before the one that
             # raises can fail first.
-            masks = ([kripke.truth_mask(m, sentence)] for m in chunk)
-        for m, (mask,) in zip(chunk, masks):
-            if mask != (1 << len(m.worlds)) - 1:
-                return checked, m
-            checked += 1
+            fails = (kripke.truth_mask(m, sentence) != (1 << len(m.worlds)) - 1 for m in chunk)
+            j = next((j for j, fail in enumerate(fails) if fail), None)
+        if j is not None:
+            return checked + j, chunk[j]
+        checked += len(chunk)
     return checked, None
 
 

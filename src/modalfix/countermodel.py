@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .kripke import EvalError, KripkeModel, batch_truth_masks
+from .kripke import EvalError, KripkeModel, _check_world_pairs, batch_truth_masks
 from .syntax import (
     And,
     Atom,
@@ -60,9 +60,11 @@ def candidate_equation(b: Formula) -> Formula:
 
 
 def chain_model(k: int) -> KripkeModel:
-    """The finite chain with worlds 0..k; world n sees all m < n."""
+    """The finite chain with worlds 0..k; world n sees all m < n. More than
+    10^7 world pairs raise BoundExplosionError."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    _check_world_pairs(k + 1)
     worlds = tuple(range(k + 1))
     rel = frozenset((n, m) for n in worlds for m in range(n))
     domains = {n: frozenset(str(m) for m in range(n, k + 3)) for n in worlds}

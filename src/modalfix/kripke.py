@@ -11,29 +11,32 @@ Every check runs on one evaluator, which computes the truth of a
 sentence at all worlds at once as a bitmask. A sentence has no free
 variables and no propositional variables, and each of its constants lies
 in every world's domain; anything else raises EvalError. Truth is local
-to the generated submodel, so pool_truth_masks checks a pool of models
-as their disjoint union: each model's worlds take a run of bit positions
+to the generated submodel, so a ModelPool checks a sequence of models as
+their disjoint union: each model's worlds take a run of bit positions
 from the model's offset, and each mask is one int over every world of
-the pool, split at the offsets at the end. The union tables hold, per
-constant and per fact, the mask of the worlds where it is present, and
-per position offset d the mask E_d of the worlds with an edge to the
-world d positions on; box S is the complement of the union over d of
-E_d & shift(~S, d). truth_mask and batch_truth_masks check a pool of
-one. The evaluator memoizes each subformula under its node identity,
-which interning makes its structure, plus the values of its free
-variables when it has any: equal subformulas of different sentences
-are evaluated once. eval_formula is the plain recursive reference, one
-world at a time, that the tests compare the evaluator against.
+the pool. The caller builds the pool once, asks it for masks, and splits
+a mask per model or finds the first model where it is not full only when
+it needs to. The pool's tables hold, per constant and per fact, the mask
+of the worlds where it is present, and per position offset d the mask
+E_d of the worlds with an edge to the world d positions on; box S is the
+complement of the union over d of E_d & shift(~S, d). truth_mask and
+batch_truth_masks check a pool of one. Within one masks() call the
+evaluator memoizes each subformula under its node identity, which
+interning makes its structure, plus the values of its free variables
+when it has any: equal subformulas of different sentences are evaluated
+once. eval_formula is the plain recursive reference, one world at a
+time, that the tests compare the evaluator against.
 
-A model caches its successor lists, sorted domains and bitmask tables
-on first use; dataclasses.replace gives a copy whose caches are cold.
+A model caches its successor lists and sorted domains on first use;
+dataclasses.replace gives a copy whose caches are cold.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -100,10 +103,6 @@ class KripkeModel:
     @cached_property
     def _dom_sorted(self) -> dict[int, tuple[str, ...]]:
         return {w: tuple(sorted(self.domains[w], key=_const_key)) for w in self.worlds}
-
-    @cached_property
-    def _mask_tables(self) -> _UnionTables:
-        return _UnionTables((self,))
 
     def facts(self, w: int, pred: str) -> frozenset[tuple[str, ...]]:
         return self.interp.get((w, pred), frozenset())
@@ -209,23 +208,24 @@ def _eval(m: KripkeModel, w: int, f: Formula, env: dict[str, str]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bitmask evaluator: truth of a formula at every world of a model pool at once
+# Bitmask evaluator: truth of a sentence at every world of a model pool at once
 
-class _UnionTables:
-    """Bitmask tables of the disjoint union of a sequence of models.
+class ModelPool:
+    """Models checked as their disjoint union (see the module docstring).
 
-    Model j's worlds take the positions offsets[j] .. offsets[j + 1] - 1, in
-    the order of its m.worlds. edges pairs each position offset d with the
-    mask of the positions that have an edge to the position d further on.
-    Facts at worlds outside m.worlds are ignored.
+    Model j's worlds take the bit positions offsets[j] .. offsets[j + 1] - 1,
+    in the order of its m.worlds. edges pairs each position offset d with
+    the mask of the positions that have an edge to the position d further
+    on. Facts at worlds outside m.worlds are ignored.
     """
 
-    def __init__(self, models: Sequence[KripkeModel]):
+    def __init__(self, models: Iterable[KripkeModel]):
+        self.models = tuple(models)
         self.offsets = [0]
         self.const_masks: dict[str, int] = {}
         self.fact_masks: dict[tuple[str, tuple[str, ...]], int] = {}
         edges: dict[int, int] = {}
-        for m in models:
+        for m in self.models:
             index: dict[int, int] = {}
             for i, w in enumerate(m.worlds, self.offsets[-1]):
                 if w not in m.domains:
@@ -248,87 +248,121 @@ class _UnionTables:
                         self.fact_masks[key] = self.fact_masks.get(key, 0) | bit
             self.offsets.append(self.offsets[-1] + len(m.worlds))
         self.all_mask = (1 << self.offsets[-1]) - 1
-        self.pool = sorted(self.const_masks, key=_const_key)
+        self.consts = sorted(self.const_masks, key=_const_key)
         self.edges = sorted(edges.items())
+        self._memo: dict[object, int] = {}
 
+    def masks(self, sentences: Iterable[Formula]) -> list[int]:
+        """One mask per sentence, of the worlds of the pool where it holds.
+        Each is checked, model by model in pool order, to be a sentence as
+        the module docstring defines it, or raises EvalError; one nested too
+        deeply for the evaluator raises TooDeepError."""
+        # The memo is keyed by node identity, so it must not outlive the
+        # sentences, which the tuple keeps alive until the call ends.
+        sentences = tuple(sentences)
+        try:
+            return [self._mask(self._sentence(f), {}) for f in sentences]
+        except RecursionError:
+            raise TooDeepError("formula nests too deeply") from None
+        finally:
+            self._memo = {}
 
-class _UnionEvaluator:
-    def __init__(self, t: _UnionTables):
-        self.t = t
-        self.memo: dict[object, int] = {}
+    def split(self, mask: int) -> list[int]:
+        """The part of mask in each model, by position in its m.worlds."""
+        return [mask >> lo & ((1 << (hi - lo)) - 1) for lo, hi in zip(self.offsets, self.offsets[1:])]
 
-    def mask(self, f: Formula, env: dict[str, str]) -> int:
+    def first_failing(self, mask: int) -> Optional[int]:
+        """Index of the first model whose part of mask is not full, or None."""
+        missing = ~mask & self.all_mask
+        # A model with no worlds shares its offset with the next one, and
+        # bisect_right passes over it.
+        return bisect_right(self.offsets, next(_bits(missing))) - 1 if missing else None
+
+    def _sentence(self, f: Formula) -> Formula:
+        if f._free_vars:
+            raise EvalError(f"unbound variable {min(f._free_vars)}")
+        if f._constants:
+            # A constant must exist at every world, even where f never reads
+            # it. The first model that lacks one decides, then the least
+            # constant it lacks, then the first world there that lacks it.
+            names = sorted(f._constants, key=_const_key)
+            present = [self.const_masks.get(c, 0) for c in names]
+            j = self.first_failing(reduce(int.__and__, present, self.all_mask))
+            if j is not None:
+                c, gone = next((c, part) for c, p in zip(names, present) if (part := self.split(~p)[j]))
+                w = self.models[j].worlds[next(_bits(gone))]
+                raise EvalError(f"constant {c} is outside the domain of world {w}")
+        return f
+
+    def _mask(self, f: Formula, env: dict[str, str]) -> int:
         # Keyed by node identity, which is structural since nodes are
         # interned, plus the values of f's free variables (cached on the
         # node) in name order when it has any.
         fv = f._free_vars
         key = (id(f), *[env[v] for v in sorted(fv)]) if fv else id(f)
-        got = self.memo.get(key)
+        got = self._memo.get(key)
         if got is None:
-            got = self.memo[key] = _HANDLERS.get(type(f), _UnionEvaluator._other)(self, f, env)
+            got = self._memo[key] = _HANDLERS.get(type(f), ModelPool._other)(self, f, env)
         return got
 
     def _top(self, f: Top, env: dict[str, str]) -> int:
-        return self.t.all_mask
+        return self.all_mask
 
     def _bottom(self, f: Bottom, env: dict[str, str]) -> int:
         return 0
 
     def _atom(self, f: Atom, env: dict[str, str]) -> int:
-        t = self.t
         args = []
-        guard = t.all_mask
+        guard = self.all_mask
         for term in f.args:
             c = env[term.name] if isinstance(term, Var) else term.name
             args.append(c)
-            guard &= t.const_masks.get(c, 0)
-        return t.fact_masks.get((f.pred, tuple(args)), 0) & guard
+            guard &= self.const_masks.get(c, 0)
+        return self.fact_masks.get((f.pred, tuple(args)), 0) & guard
 
     def _propvar(self, f: PropVar, env: dict[str, str]) -> int:
         raise EvalError(f"propositional variable #{f.name} has no truth value in a model")
 
     def _not(self, f: Not, env: dict[str, str]) -> int:
-        return ~self.mask(f.body, env) & self.t.all_mask
+        return ~self._mask(f.body, env) & self.all_mask
 
     def _implies(self, f: Implies, env: dict[str, str]) -> int:
-        return (~self.mask(f.left, env) | self.mask(f.right, env)) & self.t.all_mask
+        return (~self._mask(f.left, env) | self._mask(f.right, env)) & self.all_mask
 
     def _and(self, f: And, env: dict[str, str]) -> int:
-        return self.mask(f.left, env) & self.mask(f.right, env)
+        return self._mask(f.left, env) & self._mask(f.right, env)
 
     def _or(self, f: Or, env: dict[str, str]) -> int:
-        return self.mask(f.left, env) | self.mask(f.right, env)
+        return self._mask(f.left, env) | self._mask(f.right, env)
 
     def _forall(self, f: Forall, env: dict[str, str]) -> int:
-        t = self.t
-        acc = t.all_mask
+        acc = self.all_mask
         env = dict(env)
-        for c in t.pool:
+        for c in self.consts:
             env[f.var] = c
-            acc &= self.mask(f.body, env) | ~t.const_masks[c]
+            acc &= self._mask(f.body, env) | ~self.const_masks[c]
             if not acc:
                 break
-        return acc & t.all_mask
+        return acc & self.all_mask
 
     def _exists(self, f: Exists, env: dict[str, str]) -> int:
-        t = self.t
         acc = 0
         env = dict(env)
-        for c in t.pool:
+        for c in self.consts:
             env[f.var] = c
-            acc |= self.mask(f.body, env) & t.const_masks[c]
-            if acc == t.all_mask:
+            acc |= self._mask(f.body, env) & self.const_masks[c]
+            if acc == self.all_mask:
                 break
         return acc
 
     def _box(self, f: Box, env: dict[str, str]) -> int:
         # A world fails box S when, for some offset d, it has an edge to
         # the world d positions on and that world is outside S.
-        missing = ~self.mask(f.body, env) & self.t.all_mask
+        missing = ~self._mask(f.body, env) & self.all_mask
         acc = 0
-        for d, e in self.t.edges:
+        for d, e in self.edges:
             acc |= e & (missing >> d if d >= 0 else missing << -d)
-        return ~acc & self.t.all_mask
+        return ~acc & self.all_mask
 
     def _other(self, f: object, env: dict[str, str]) -> int:
         raise TypeError(f"not a formula: {f!r}")
@@ -336,48 +370,9 @@ class _UnionEvaluator:
 
 # One handler per node class, named after it; any other class is _other.
 _HANDLERS = {
-    cls: getattr(_UnionEvaluator, "_" + cls.__name__.lower())
+    cls: getattr(ModelPool, "_" + cls.__name__.lower())
     for cls in (Top, Bottom, Atom, PropVar, Not, Implies, And, Or, Forall, Exists, Box)
 }
-
-
-def _check_sentence(models: Sequence[KripkeModel], t: _UnionTables, f: Formula) -> Formula:
-    if f._free_vars:
-        raise EvalError(f"unbound variable {min(f._free_vars)}")
-    if f._constants:
-        # A constant must exist at every world, even where f never reads it.
-        names = sorted(f._constants, key=_const_key)
-        for m, lo, hi in zip(models, t.offsets, t.offsets[1:]):
-            for c in names:
-                missing = ~t.const_masks.get(c, 0) & ((1 << hi) - (1 << lo))
-                if missing:
-                    w = m.worlds[next(_bits(missing)) - lo]
-                    raise EvalError(f"constant {c} is outside the domain of world {w}")
-    return f
-
-
-def pool_truth_masks(models: Sequence[KripkeModel], sentences: Sequence[Formula]) -> list[list[int]]:
-    """Truth masks of several sentences in each model of a pool.
-
-    out[j][k] is the bitmask of the worlds (by position in models[j].worlds)
-    where sentences[k] holds in models[j]. Truth is local to the generated
-    submodel, so the pool is checked as one disjoint union, and subformulas
-    shared between the sentences are evaluated once. Each sentence
-    is checked, model by model in pool order, to be a sentence as the
-    module docstring defines it; anything else raises EvalError. A
-    sentence nested too deeply for the evaluator raises TooDeepError.
-    """
-    # A single model keeps its tables; a pool's are built afresh.
-    t = models[0]._mask_tables if len(models) == 1 else _UnionTables(models)
-    ev = _UnionEvaluator(t)
-    try:
-        masks = [ev.mask(_check_sentence(models, t, f), {}) for f in sentences]
-    except RecursionError:
-        raise TooDeepError("formula nests too deeply") from None
-    return [
-        [(mask >> lo) & ((1 << (hi - lo)) - 1) for mask in masks]
-        for lo, hi in zip(t.offsets, t.offsets[1:])
-    ]
 
 
 def truth_mask(m: KripkeModel, f: Formula) -> int:
@@ -386,7 +381,7 @@ def truth_mask(m: KripkeModel, f: Formula) -> int:
     Anything but a sentence, as the module docstring defines it, raises
     EvalError.
     """
-    return pool_truth_masks((m,), (f,))[0][0]
+    return ModelPool((m,)).masks((f,))[0]
 
 
 def batch_truth_masks(m: KripkeModel, formulas: Sequence[Formula]) -> list[int]:
@@ -396,14 +391,14 @@ def batch_truth_masks(m: KripkeModel, formulas: Sequence[Formula]) -> list[int]:
     objects shared between the inputs are evaluated once, which is what
     verification sweeps over families of related formulas want.
     """
-    return pool_truth_masks((m,), formulas)[0]
+    return ModelPool((m,)).masks(formulas)
 
 
 def valid_in_model(m: KripkeModel, f: Formula) -> bool:
     """Truth of the universal closure of f at every world of m. EvalError
     unless the closure is a sentence: no propositional variables, and
     every constant in every world's domain."""
-    return truth_mask(m, universal_closure(f)) == m._mask_tables.all_mask
+    return truth_mask(m, universal_closure(f)) == (1 << len(m.worlds)) - 1
 
 
 def first_failing_world(m: KripkeModel, f: Formula) -> Optional[int]:
@@ -529,6 +524,12 @@ def _check_range(name: str, r: tuple[int, int], low: int) -> None:
         raise GenError(f"{name} range {r} is empty or below {low}")
 
 
+def _check_world_pairs(n: int) -> None:
+    # Every generator checks this before it builds anything.
+    if n * n > _BUDGET:
+        raise BoundExplosionError("world pairs to draw exceed 10^7")
+
+
 def random_model(spec: ModelGenSpec) -> KripkeModel:
     """Deterministic model for a given spec; the seed fixes everything."""
     _check_range("world_count", spec.world_count, 1)
@@ -543,8 +544,7 @@ def random_model(spec: ModelGenSpec) -> KripkeModel:
 
     rng = random.Random(spec.seed)
     n = rng.randint(*spec.world_count)
-    if n * n > _BUDGET:
-        raise BoundExplosionError("world pairs to draw exceed 10^7")
+    _check_world_pairs(n)
     worlds = tuple(range(n))
     levels = [rng.randint(0, spec.height_bound) for _ in worlds]
     rel = set()

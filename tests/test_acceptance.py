@@ -2,8 +2,8 @@
 
 Each test covers one acceptance criterion end to end and prints a
 single "criterion N: PASS" line with the check counts it performed.
-Model pools and exhaustive enumerations are cached at module level and
-shared between criteria.
+Model pools and exhaustive enumerations are built once, as ModelPools
+cached at module level, and shared between criteria.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from modalfix.fixpoint import b_n_transform, boolean_sigma_fixpoint, fixpoint_qk
 from modalfix.kripke import (
     KripkeModel,
     ModelGenSpec,
-    batch_truth_masks,
+    ModelPool,
     enumerate_models,
     eval_formula,
     frame_report,
-    pool_truth_masks,
     random_model,
     valid_in_model,
     validate_model,
@@ -141,30 +140,26 @@ SIGMA_SENTENCES = [
 ]
 
 
-def full_mask(m: KripkeModel) -> int:
-    return (1 << len(m.worlds)) - 1
+@cache
+def exhaustive(n: int) -> ModelPool:
+    return ModelPool(enumerate_models(3, 2, {"P": 1}, max_height=n))
 
 
 @cache
-def exhaustive(n: int) -> tuple[KripkeModel, ...]:
-    return tuple(enumerate_models(3, 2, {"P": 1}, max_height=n))
-
-
-@cache
-def pool_any(n: int) -> tuple[KripkeModel, ...]:
+def pool_any(n: int) -> ModelPool:
     spec = dict(world_count=(1, 4), height_bound=n, signature={"P": 1, "Q": 1})
-    return tuple(random_model(ModelGenSpec(**spec, seed=n * 1000 + i)) for i in range(1000))
+    return ModelPool(random_model(ModelGenSpec(**spec, seed=n * 1000 + i)) for i in range(1000))
 
 
 @cache
-def pool_trans_irrefl() -> tuple[KripkeModel, ...]:
+def pool_trans_irrefl() -> ModelPool:
     spec = dict(
         world_count=(1, 5),
         height_bound=3,
         signature={"P": 1, "Q": 1},
         require=frozenset({"transitive", "irreflexive"}),
     )
-    return tuple(random_model(ModelGenSpec(**spec, seed=50_000 + i)) for i in range(1000))
+    return ModelPool(random_model(ModelGenSpec(**spec, seed=50_000 + i)) for i in range(1000))
 
 
 def _reflexive_extras() -> tuple[KripkeModel, ...]:
@@ -192,19 +187,20 @@ def _reflexive_extras() -> tuple[KripkeModel, ...]:
 
 
 @cache
-def pool_transitive() -> tuple[KripkeModel, ...]:
+def pool_transitive() -> ModelPool:
     """Transitive models: the seeded pool plus reflexive hand-built ones."""
-    return pool_trans_irrefl() + _reflexive_extras()
+    return ModelPool(pool_trans_irrefl().models + _reflexive_extras())
 
 
-def all_valid(models, sentences) -> int:
+def all_valid(pool: ModelPool, sentences) -> int:
     """Number of (model, sentence) checks performed; asserts all valid."""
-    failures = []
-    for m, masks in zip(models, pool_truth_masks(models, sentences)):
-        want = full_mask(m)
-        failures += [(m, s) for s, got in zip(sentences, masks) if got != want]
-    assert not failures, f"{len(failures)} failures, first: {failures[0][1]}"
-    return len(models) * len(sentences)
+    failures = [
+        (j, s)
+        for s, mask in zip(sentences, pool.masks(sentences))
+        if (j := pool.first_failing(mask)) is not None
+    ]
+    assert not failures, f"{len(failures)} failing, first in model {failures[0][0]}: {failures[0][1]}"
+    return len(pool.models) * len(sentences)
 
 
 def equation_for(f: Formula, result: Formula) -> Formula:
@@ -277,31 +273,35 @@ def test_criterion_3_truncation_and_stage_agreement():
             batch += per_b
         plans.append((batch, len(b_corpus)))
 
-    models = exhaustive(3)
-    lows = []
-    for model in models:
+    # low[n] is the mask of the worlds of height at most n over the whole
+    # pool: each model's worlds in order, the models one after another.
+    pool = exhaustive(3)
+    low = [0] * 4
+    pos = 0
+    for model in pool.models:
         heights = frame_report(model).heights
         assert heights is not None
-        lows.append([
-            sum(1 << i for i, w in enumerate(model.worlds) if heights[w] <= n)
-            for n in range(4)
-        ])
+        for w in model.worlds:
+            for n in range(heights[w], 4):
+                low[n] |= 1 << pos
+            pos += 1
     checks = 0
     for batch, n_bs in plans:
-        for low, masks in zip(lows, pool_truth_masks(models, batch)):
-            sent_mask, trunc_masks, stage_masks = masks[0], masks[1:5], masks[5:9]
-            rest = masks[9:]
-            rewrite_masks = [rest[i * 4 : i * 4 + 4] for i in range(n_bs)]
-            subst_masks = [
-                rest[(n_bs + i) * 4 : (n_bs + i) * 4 + 4] for i in range(n_bs)
-            ]
-            for n in range(4):
-                assert (sent_mask ^ trunc_masks[n]) & low[n] == 0
-                for m in range(n, 4):
-                    assert (stage_masks[m] ^ stage_masks[n]) & low[n] == 0
-                    for i in range(n_bs):
-                        assert (rewrite_masks[i][n] ^ subst_masks[i][m]) & low[n] == 0
-                        checks += 1
+        masks = pool.masks(batch)
+        sent_mask, trunc_masks, stage_masks = masks[0], masks[1:5], masks[5:9]
+        rest = masks[9:]
+        rewrite_masks = [rest[i * 4 : i * 4 + 4] for i in range(n_bs)]
+        subst_masks = [
+            rest[(n_bs + i) * 4 : (n_bs + i) * 4 + 4] for i in range(n_bs)
+        ]
+        for n in range(4):
+            assert (sent_mask ^ trunc_masks[n]) & low[n] == 0
+            for m in range(n, 4):
+                assert (stage_masks[m] ^ stage_masks[n]) & low[n] == 0
+                for i in range(n_bs):
+                    assert (rewrite_masks[i][n] ^ subst_masks[i][m]) & low[n] == 0
+                    # One agreement per model of the pool.
+                    checks += len(pool.models)
     print(
         f"criterion 3: PASS (structural identities for {len(TARGETS)} targets, "
         f"{checks} low-height rewrite agreements, zero failures)"
@@ -407,16 +407,13 @@ def test_criterion_5_guarded_fixed_points():
 
     classic = boolean_sigma_fixpoint(FixpointTarget(parse("~box #p"), "p")).result
     reference = parse("~box false")
-    fi_models = tuple(
-        enumerate_models(3, 2, {"P": 1}, require={"transitive", "irreflexive"})
-    )
-    for m in fi_models:
-        a, b = batch_truth_masks(m, [classic, reference])
-        assert a == b
+    fi = ModelPool(enumerate_models(3, 2, {"P": 1}, require={"transitive", "irreflexive"}))
+    a, b = fi.masks([classic, reference])
+    assert a == b
     print(
         f"criterion 5: PASS ({len(SIGMA_TARGETS)} targets and "
         f"{len(SIGMA_SENTENCES)} self-provers, {checks} model checks, "
-        f"classical case matches on {len(fi_models)} enumerated models)"
+        f"classical case matches on {len(fi.models)} enumerated models)"
     )
 
 
@@ -461,12 +458,8 @@ def test_criterion_6_substitution_and_uniqueness():
             uniqueness.append(prop)
             nonvacuous.append(universal_closure(antecedent))
     checks += all_valid(pool_trans_irrefl(), uniqueness)
-    hits = sum(
-        1
-        for m in pool_trans_irrefl()[:50]
-        for mask in batch_truth_masks(m, nonvacuous)
-        if mask
-    )
+    head = ModelPool(pool_trans_irrefl().models[:50])
+    hits = sum(1 for mask in head.masks(nonvacuous) for part in head.split(mask) if part)
     assert hits > 0
     print(
         f"criterion 6: PASS ({checks} model checks, zero failures, "
@@ -500,7 +493,7 @@ def test_criterion_7_soundness_regression():
         reflexive_point, Implies(Box(Implies(Box(loeb_x), loeb_x)), Box(loeb_x))
     )
 
-    for m in pool_any(3)[:200]:
+    for m in pool_any(3).models[:200]:
         h = frame_report(m).frame_height
         assert h is not None
         assert valid_in_model(m, boxes(h + 1, FALSE))

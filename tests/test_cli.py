@@ -11,7 +11,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modalfix import cli
+from modalfix import cli, kripke
 from modalfix.countermodel import chain_model
 from modalfix.kripke import (
     EvalError,
@@ -170,6 +170,27 @@ def test_mk_chain_round_trip(m2_path):
         text = fh.read()
     assert text.startswith("# chain model k=2\n")
     assert parse_model(text) == chain_model(2)
+
+
+def test_mk_over_the_world_pair_budget_is_one_error_line(capsys):
+    # The chain with k = 3162 has 3163 worlds, so over 10^7 world pairs.
+    out = io.StringIO()
+    code = cli.main(["mk", "--k", "3162"], out)
+    err = capsys.readouterr().err
+    assert (code, out.getvalue()) == (1, "")
+    assert err.startswith("error: bound-explosion: ") and err.count("\n") == 1
+
+
+def test_refute_reports_the_budget_at_the_first_chain_over_it(monkeypatch, capsys):
+    # With a budget of 8 world pairs the chain with k = 2 is over it, and
+    # box false satisfies the equation on the chains before it.
+    monkeypatch.setattr(kripke, "_BUDGET", 8)
+    out = io.StringIO()
+    code = cli.main(["refute", "box false", "--k-max", "8"], out)
+    err = capsys.readouterr().err
+    assert (code, out.getvalue()) == (1, "")
+    assert err.startswith("error: bound-explosion: ") and err.count("\n") == 1
+    assert cli.main(["refute", "box false", "--k-max", "1"], io.StringIO()) == 0
 
 
 def test_check_chain_box_false(m2_path):

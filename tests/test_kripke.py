@@ -14,6 +14,7 @@ from modalfix.kripke import (
     KripkeModel,
     ModelError,
     ModelGenSpec,
+    ModelPool,
     batch_truth_masks,
     enumerate_models,
     eval_formula,
@@ -22,7 +23,6 @@ from modalfix.kripke import (
     frame_report,
     generated_submodel,
     parse_model,
-    pool_truth_masks,
     random_model,
     truth_mask,
     valid_in_model,
@@ -66,7 +66,7 @@ def test_validate_reports_violations():
 
 def test_replace_gives_a_model_with_cold_caches():
     m = two_chain()
-    assert valid_in_model(m, parse("forall u. (box P(u) | ~box P(u))"))
+    assert m.successors(1) == (0,)
     fields = {f.name for f in dataclasses.fields(m)}
     assert set(vars(m)) > fields
     fresh = dataclasses.replace(m)
@@ -179,7 +179,7 @@ def test_edges_to_unknown_worlds_raise_eval_error():
         with pytest.raises(EvalError, match="^unknown world 1$"):
             check(m, parse("box true"))
     with pytest.raises(EvalError, match="^unknown world 1$"):
-        pool_truth_masks([two_chain(), m], [parse("box true")])
+        ModelPool([two_chain(), m]).masks([parse("box true")])
 
 
 def test_pool_checks_sentences_model_by_model():
@@ -188,10 +188,26 @@ def test_pool_checks_sentences_model_by_model():
     other = KripkeModel((7,), frozenset(), {7: frozenset({"a"})}, {}, {"P": 1})
     f = Atom("P", (Const("b"),))
     with pytest.raises(EvalError, match="^constant b is outside the domain of world 1$"):
-        pool_truth_masks([two_chain(), other], [f])
+        ModelPool([two_chain(), other]).masks([f])
     with pytest.raises(EvalError, match="^constant b is outside the domain of world 7$"):
-        pool_truth_masks([other, two_chain()], [f])
-    assert pool_truth_masks([], [f]) == []
+        ModelPool([other, two_chain()]).masks([f])
+    empty = ModelPool([])
+    assert empty.masks([f]) == [0]
+    assert empty.split(0) == [] and empty.first_failing(0) is None
+
+
+def test_first_failing_passes_over_models_with_no_worlds():
+    # box box false holds at both worlds of the 1-chain and fails only at
+    # world 2 of the 2-chain, listed first so that it takes the offset the
+    # empty model before it shares.
+    empty = KripkeModel((), frozenset(), {}, {}, {})
+    fails = dataclasses.replace(chain_model(2), worlds=(2, 0, 1))
+    pool = ModelPool([chain_model(1), empty, fails])
+    (mask,) = pool.masks([Box(Box(FALSE))])
+    assert pool.split(mask) == [0b11, 0, 0b110]
+    assert pool.first_failing(mask) == 2
+    pool = ModelPool([empty, fails])
+    assert pool.first_failing(pool.masks([Box(Box(FALSE))])[0]) == 1
 
 
 def test_validity_and_first_failing_world_agree_off_monotone_models():
@@ -479,7 +495,7 @@ def test_formula_too_deep_for_the_evaluator_raises_too_deep():
     for check in (
         lambda: truth_mask(m, f),
         lambda: batch_truth_masks(m, [f]),
-        lambda: pool_truth_masks([m, m], [f]),
+        lambda: ModelPool([m, m]).masks([f]),
         lambda: valid_in_model(m, f),
         lambda: first_failing_world(m, f),
     ):

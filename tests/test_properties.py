@@ -17,12 +17,12 @@ from modalfix.countermodel import chain_model, eval_infinite_chain
 from modalfix.kripke import (
     KripkeModel,
     ModelGenSpec,
+    ModelPool,
     batch_truth_masks,
     eval_formula,
     first_failing_world,
     format_model,
     generated_submodel,
-    pool_truth_masks,
     random_model,
     truth_mask,
     validate_model,
@@ -264,23 +264,38 @@ def test_batch_masks_agree_with_reference_on_any_frame(m, f, g, picks):
             assert eval_formula(m, w, s) == bool(mask >> i & 1)
 
 
+def _check_pool_against_reference(pool: ModelPool, sentences: list[Formula]) -> None:
+    for s, mask in zip(sentences, pool.masks(sentences)):
+        truth = [[eval_formula(m, w, s) for w in m.worlds] for m in pool.models]
+        assert pool.split(mask) == [sum(1 << i for i, t in enumerate(row) if t) for row in truth]
+        failing = [j for j, row in enumerate(truth) if not all(row)]
+        assert pool.first_failing(mask) == (failing[0] if failing else None)
+
+
+NO_WORLDS = KripkeModel((), frozenset(), {}, {}, {})
+
+
 @given(
-    st.lists(small_models(), min_size=1, max_size=5),
+    st.lists(st.one_of(small_models(), st.just(NO_WORLDS)), min_size=1, max_size=5),
     formulas(with_hole=False),
     formulas(with_hole=False),
 )
 @settings(max_examples=100, deadline=None)
-def test_pool_masks_agree_with_reference_in_each_model(models, f, g):
-    # Pools that mix model sizes, frames and world orders, checked as one
-    # disjoint union and split at the model offsets.
-    sentences = [universal_closure(h) for h in (f, Box(g), And(f, Not(g)))]
-    masks = pool_truth_masks(models, sentences)
-    assert len(masks) == len(models)
-    for m, per_model in zip(models, masks):
-        for s, mask in zip(sentences, per_model):
-            assert mask >> len(m.worlds) == 0
-            for i, w in enumerate(m.worlds):
-                assert eval_formula(m, w, s) == bool(mask >> i & 1)
+def test_model_pool_agrees_with_reference_in_each_model(models, f, g):
+    # Pools that mix model sizes, frames, world orders and models with no
+    # worlds, checked as one disjoint union.
+    pool = ModelPool(models)
+    _check_pool_against_reference(pool, [universal_closure(h) for h in (f, Box(g), And(f, Not(g)))])
+    # Then one sentence per call on the same pool. Each is built afresh and
+    # dies before the next is built, so a new node may take a dead one's
+    # address: a memo that outlived its call would answer for it.
+    for make in (
+        lambda: Or(g, Box(f)),
+        lambda: And(f, Not(g)),
+        lambda: Implies(Box(g), Or(f, Not(g))),
+        lambda: Or(Not(f), Box(Box(g))),
+    ):
+        _check_pool_against_reference(pool, [universal_closure(make())])
 
 
 @given(small_models(), formulas(with_hole=False))
