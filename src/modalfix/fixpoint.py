@@ -10,11 +10,16 @@ the evaluation world have length at most n.
 The guarded construction sigma_fixpoint and its extensions work on
 transitive frames without bound, for targets whose hole only occurs
 inside formulas generated from boxes by &, | and exists. The box case
-closes the loop by substituting true; the other cases recurse
-structurally. Systems of simultaneous equations are solved one variable
-at a time, treating the remaining holes as parameters, and Boolean
-combinations are handled by splitting off the maximal guarded
-subformulas, solving those simultaneously, and reassembling.
+closes the loop by substituting true; &, | and exists are rebuilt from
+the results of their parts. A system of equations is solved by
+elimination in the order given: equation i, with the solutions of
+equations 0 .. i-1 substituted in, is solved as one guarded fixed point
+in hole i, and its solution is substituted into theirs. Solutions can
+double in size with each equation, so more than _NODE_BUDGET distinct
+nodes in them raise OutputTooLargeError, as does a report over
+syntax._BUDGET characters. Boolean combinations are handled by
+splitting off the maximal guarded subformulas, solving those
+simultaneously, and reassembling. Nothing here recurses.
 """
 
 from __future__ import annotations
@@ -22,16 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    And,
     Box,
-    Exists,
     FixpointTarget,
     Formula,
     NotModalizedError,
     NotNormalizedError,
     NotSigmaError,
-    Or,
+    OutputTooLargeError,
     TRUE,
+    _BUDGET,
     decompose_boolean_sigma,
     format_formula,
     free_and_bound_vars,
@@ -55,6 +59,14 @@ def _check_normalized(f: Formula) -> None:
         )
 
 
+def _report(pairs: list[tuple[str, str | Formula]]) -> list[tuple[str, str]]:
+    """The pairs with their formulas printed, if all fit in _BUDGET characters."""
+    size = sum(len(key) + (len(v) if isinstance(v, str) else v._width) for key, v in pairs)
+    if size > _BUDGET:
+        raise OutputTooLargeError(f"report would have {size} characters, over 10^7")
+    return [(key, v if isinstance(v, str) else format_formula(v)) for key, v in pairs]
+
+
 @dataclass(frozen=True)
 class FixpointTrace:
     """Stages of the bounded height construction, stage k solving height k."""
@@ -65,15 +77,10 @@ class FixpointTrace:
     result: Formula
 
     def report_lines(self) -> list[tuple[str, str]]:
-        lines = [
-            ("hole", self.target.hole),
-            ("input", format_formula(self.target.formula)),
-            ("n", str(self.n)),
-        ]
-        for k, stage in enumerate(self.stages):
-            lines.append((f"stage.{k}", format_formula(stage)))
-        lines.append(("result", format_formula(self.result)))
-        return lines
+        pairs = [("hole", self.target.hole), ("input", self.target.formula), ("n", str(self.n))]
+        pairs += [(f"stage.{k}", stage) for k, stage in enumerate(self.stages)]
+        pairs.append(("result", self.result))
+        return _report(pairs)
 
 
 def fixpoint_qk(target: FixpointTarget, n: int) -> FixpointTrace:
@@ -134,45 +141,44 @@ class SigmaFixpointResult:
     derivation: SigmaStep
 
     def report_lines(self) -> list[tuple[str, str]]:
-        lines = [
-            ("hole", self.hole),
-            ("input", format_formula(self.input)),
-            ("result", format_formula(self.result)),
-        ]
-
-        def walk(step: SigmaStep, path: str) -> None:
-            lines.append((f"step.{path}.kind", step.kind))
-            lines.append((f"step.{path}.target", format_formula(step.target)))
-            lines.append((f"step.{path}.result", format_formula(step.result)))
-            for i, child in enumerate(step.children):
-                walk(child, f"{path}.{i}")
-
-        walk(self.derivation, "0")
-        return lines
+        pairs = [("hole", self.hole), ("input", self.input), ("result", self.result)]
+        # The derivation in preorder, on an explicit stack.
+        todo = [(self.derivation, "step.0")]
+        while todo:
+            step, path = todo.pop()
+            pairs += [(f"{path}.kind", step.kind), (f"{path}.target", step.target),
+                      (f"{path}.result", step.result)]
+            todo += reversed([(child, f"{path}.{i}") for i, child in enumerate(step.children)])
+        return _report(pairs)
 
 
 def _sigma_step(s: Formula, hole: str) -> SigmaStep:
-    if isinstance(s, Box):
-        return SigmaStep("box", s, subst_prop(s, hole, TRUE))
-    if isinstance(s, And):
-        left = _sigma_step(s.left, hole)
-        right = _sigma_step(s.right, hole)
-        return SigmaStep("and", s, And(left.result, right.result), (left, right))
-    if isinstance(s, Or):
-        left = _sigma_step(s.left, hole)
-        right = _sigma_step(s.right, hole)
-        return SigmaStep("or", s, Or(left.result, right.result), (left, right))
-    if isinstance(s, Exists):
-        inner = _sigma_step(s.body, hole)
-        return SigmaStep("exists", s, Exists(s.var, inner.result), (inner,))
-    raise NotSigmaError(f"{format_formula(s)} is not generated from boxes by &, | and exists")
+    # Children first on an explicit stack, each distinct subformula once.
+    done: dict[Formula, SigmaStep] = {}
+    todo = [s]
+    while todo:
+        g = todo.pop()
+        if g in done:
+            continue
+        if isinstance(g, Box):
+            done[g] = SigmaStep("box", g, subst_prop(g, hole, TRUE))
+            continue
+        kids = g._kids()
+        missing = [k for k in kids if k not in done]
+        if missing:
+            todo += g, *missing
+            continue
+        parts = tuple(done[k] for k in kids)
+        # And, Or and Exists: the kind is the class name.
+        done[g] = SigmaStep(type(g).__name__.lower(), g, g._with([st.result for st in parts]), parts)
+    return done[s]
 
 
 def sigma_fixpoint(target: FixpointTarget) -> SigmaFixpointResult:
     """Fixed point of a guarded target, valid on transitive frames.
 
     The box case substitutes true for the hole under the box; &, | and
-    exists recurse into their parts and combine the results.
+    exists are rebuilt from the results of their parts.
     """
     f, hole = target.formula, target.hole
     [result], [step] = _simultaneous_with_steps([f], [hole])
@@ -182,15 +188,26 @@ def sigma_fixpoint(target: FixpointTarget) -> SigmaFixpointResult:
 def simultaneous_sigma_fixpoints(
     sigmas: list[Formula], holes: list[str]
 ) -> list[Formula]:
-    """Solve holes[i] == sigmas[i](holes) for guarded right hand sides.
-
-    Works by recursion on the number of equations: the first n-1 are
-    solved with the last hole treated as a parameter, the last equation
-    then becomes a single guarded fixed point, and its solution is
-    substituted back.
-    """
+    """Solve holes[i] == sigmas[i](holes) for guarded right hand sides,
+    by elimination in the order given (see the module docstring)."""
     results, _ = _simultaneous_with_steps(sigmas, holes)
     return results
+
+
+# Most distinct nodes that the solutions of a guarded system may have.
+_NODE_BUDGET = 2**15
+
+
+def _dag_size(fs: list[Formula]) -> int:
+    """The number of distinct nodes in fs, counted up to one over the budget."""
+    seen: set[Formula] = set()
+    todo = list(fs)
+    while todo and len(seen) <= _NODE_BUDGET:
+        g = todo.pop()
+        if g not in seen:
+            seen.add(g)
+            todo += g._kids()
+    return len(seen)
 
 
 def _simultaneous_with_steps(
@@ -204,22 +221,23 @@ def _simultaneous_with_steps(
         if not is_sigma(s):
             raise NotSigmaError(f"{format_formula(s)} is not generated from boxes by &, | and exists")
         _check_normalized(s)
-    if len(sigmas) == 1:
-        step = _sigma_step(sigmas[0], holes[0])
-        return [step.result], [step]
-    *front_sigmas, last_sigma = sigmas
-    *front_holes, last_hole = holes
-    front_param, front_steps = _simultaneous_with_steps(front_sigmas, front_holes)
-    combined = subst_prop_map(last_sigma, dict(zip(front_holes, front_param)))
-    last_step = _sigma_step(combined, last_hole)
-    last = last_step.result
-    solved = [subst_prop(g, last_hole, last) for g in front_param]
-    steps = [
-        SigmaStep("parametric", s, g, (st,))
-        for s, g, st in zip(front_sigmas, solved, front_steps)
-    ]
-    steps.append(SigmaStep("eliminate", last_sigma, last, (last_step,)))
-    return solved + [last], steps
+    solutions: list[Formula] = []
+    steps: list[SigmaStep] = []
+    for i, (s, hole) in enumerate(zip(sigmas, holes)):
+        # Equation i with the solutions of the earlier ones substituted in;
+        # its solution is then substituted into theirs.
+        step = _sigma_step(subst_prop_map(s, dict(zip(holes, solutions))), hole)
+        last = step.result
+        if i:
+            solutions = [subst_prop(g, hole, last) for g in solutions]
+            steps = [SigmaStep("parametric", t, g, (st,)) for t, g, st in zip(sigmas, solutions, steps)]
+            step = SigmaStep("eliminate", s, last, (step,))
+        solutions.append(last)
+        steps.append(step)
+        if _dag_size(solutions) > _NODE_BUDGET:
+            raise OutputTooLargeError(f"the solutions of the first {i + 1} of {len(sigmas)} "
+                                      f"guarded equations have more than {_NODE_BUDGET} distinct nodes")
+    return solutions, steps
 
 
 def boolean_sigma_fixpoint(target: FixpointTarget) -> SigmaFixpointResult:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from modalfix import fixpoint
 from modalfix.fixpoint import (
     FixpointTrace,
     b_n_transform,
@@ -12,15 +13,21 @@ from modalfix.fixpoint import (
     sigma_fixpoint,
     simultaneous_sigma_fixpoints,
 )
+from modalfix.kripke import KripkeModel, ModelPool, enumerate_models, first_failing_world
 from modalfix.syntax import (
     FixpointTarget,
     NotDecomposableError,
     NotModalizedError,
     NotNormalizedError,
     NotSigmaError,
+    OutputTooLargeError,
     TRUE,
+    decompose_boolean_sigma,
+    iff,
     parse,
     prop_vars,
+    subst_prop,
+    subst_prop_map,
 )
 
 WORKED = FixpointTarget(parse("box (#p -> forall u. (Q(u) -> box #p))"), "p")
@@ -226,3 +233,51 @@ def test_boolean_sigma_of_eight_guarded_parts_is_a_small_dag():
     assert len(r.derivation.children) == 8
     assert prop_vars(r.result) == frozenset()
     assert len(str(r.result._width)) == 54
+
+
+def test_boolean_sigma_ends_at_the_node_budget(monkeypatch):
+    target = FixpointTarget(parse(" & ".join(f"~box (#p & P{i})" for i in range(4))), "p")
+    assert len(boolean_sigma_fixpoint(target).derivation.children) == 4
+    monkeypatch.setattr(fixpoint, "_NODE_BUDGET", 40)
+    with pytest.raises(OutputTooLargeError, match="first 3 of 4 guarded equations"):
+        boolean_sigma_fixpoint(target)
+
+
+def test_boolean_sigma_of_two_thousand_nested_conjuncts_is_solved():
+    # One guarded part, whose derivation nests 2000 deep.
+    text = " & ".join(f"box (#p | P{i})" for i in range(2000))
+    r = boolean_sigma_fixpoint(FixpointTarget(parse(text), "p"))
+    assert r.result == parse(text.replace("#p", "true"))
+
+
+def test_elimination_is_not_two_rounds_of_substitution_from_true():
+    # Substituting the system into itself k times from true agrees with
+    # elimination for one equation, but not for this system of two at k = 2.
+    f = parse("box (#p | R) & ~box #p")
+    target = FixpointTarget(f, "p")
+
+    def equation(x):
+        return iff(x, subst_prop(f, "p", x))
+
+    eliminated = boolean_sigma_fixpoint(target).result
+    pool = ModelPool(enumerate_models(4, 1, {"R": 0}, require={"transitive", "irreflexive"}))
+    assert len(pool.models) == 3670
+    assert pool.masks([equation(eliminated)]) == [pool.all_mask]
+
+    d = decompose_boolean_sigma(target)
+    skeleton = subst_prop_map(d.skeleton, dict(zip(d.rest_vars, d.rest)))
+    system = [subst_prop(s, "p", skeleton) for s in d.sigmas]
+    x = [TRUE] * len(system)
+    for _ in range(2):
+        x = [subst_prop_map(s, dict(zip(d.sigma_vars, x))) for s in system]
+    iterated = subst_prop_map(skeleton, dict(zip(d.sigma_vars, x)))
+    # The 4-chain: world a sees every b > a, and R holds only at world 3.
+    chain = KripkeModel(
+        (0, 1, 2, 3),
+        frozenset((a, b) for a in range(4) for b in range(a + 1, 4)),
+        {w: frozenset({"c0"}) for w in range(4)},
+        {(3, "R"): frozenset({()})},
+        {"R": 0},
+    )
+    assert first_failing_world(chain, equation(iterated)) == 0
+    assert first_failing_world(chain, equation(eliminated)) is None

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from modalfix import cli
 from modalfix.countermodel import chain_model, eval_infinite_chain
+from modalfix.fixpoint import boolean_sigma_fixpoint
 from modalfix.kripke import (
     KripkeModel,
     ModelGenSpec,
@@ -57,6 +58,7 @@ from modalfix.syntax import (
     truncate,
     universal_closure,
 )
+from test_acceptance import SIGMA_TARGETS
 
 VARS = ("u", "v", "w")
 
@@ -205,6 +207,29 @@ def test_normalize_and_decompose_outputs_are_pinned():
     lines = [_rewrites_line(parse(text)) for text in texts]
     digest = hashlib.md5("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (2003, "2cf845aefa30d9dd5ddfa62f1fe890cd")
+
+
+def _guarded_report(text: str) -> str:
+    """The guarded fixed point report of text, as the CLI builds it, or the
+    error class and message."""
+    target = normalize_variables(FixpointTarget(parse(text), "p"))
+    try:
+        pairs = boolean_sigma_fixpoint(target).report_lines()
+    except LogicError as e:
+        return f"{type(e).__name__}: {e}"
+    return " | ".join(f"{key}={value}" for key, value in pairs)
+
+
+def test_guarded_reports_are_pinned():
+    # The digest was taken before the guarded construction ran on explicit
+    # stacks; it pins the results, the derivations and their order.
+    rng = random.Random(12)
+    texts = [_random_text(rng, rng.randint(1, 12)) for _ in range(2000)]
+    texts += SIGMA_TARGETS
+    texts += [" & ".join(f"~box (#p & P{i})" for i in range(k)) for k in range(1, 5)]
+    lines = [_guarded_report(text) for text in texts]
+    digest = hashlib.md5("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (2021, "ba6d9c30a7f2ade18a2b0109ce7b4e4c")
 
 
 @given(formulas(with_hole=False), st.integers(0, 100))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from modalfix import syntax
+from modalfix import cli, fixpoint, syntax
 from modalfix.fixpoint import fixpoint_qk
 from modalfix.syntax import (
     And,
@@ -560,9 +560,16 @@ def _self_calls(tree: ast.AST, prefix: str = "") -> set[str]:
     return found
 
 
+def _self_calls_in(module) -> set[str]:
+    return _self_calls(ast.parse(Path(module.__file__).read_text(encoding="utf-8")))
+
+
 def test_only_the_parser_and_the_printer_recurse():
     # Every rewrite goes through _rebuild's explicit stack; the parser and
     # the printer map RecursionError to TooDeepError.
-    found = _self_calls(ast.parse(Path(syntax.__file__).read_text(encoding="utf-8")))
+    found = _self_calls_in(syntax)
     assert "_Parser.expr" in found
     assert found <= {"_Parser.expr", "_Parser.atom", "_Unary._print", "_Binary._print"}
+    # The guarded construction, its reports and the CLI run on explicit
+    # stacks and loops.
+    assert _self_calls_in(fixpoint) == _self_calls_in(cli) == set()
