@@ -20,12 +20,15 @@ it needs to. The pool's tables hold, per constant and per fact, the mask
 of the worlds where it is present, and per position offset d the mask
 E_d of the worlds with an edge to the world d positions on; box S is the
 complement of the union over d of E_d & shift(~S, d). truth_mask and
-batch_truth_masks check a pool of one. Within one masks() call the
-evaluator memoizes each subformula under its node identity, which
-interning makes its structure, plus the values of its free variables
-when it has any: equal subformulas of different sentences are evaluated
-once. eval_formula is the plain recursive reference, one world at a
-time, that the tests compare the evaluator against.
+batch_truth_masks check a pool of one. A sentence is compiled once into
+a program, cached on its node: its distinct subformulas in postorder,
+which the pool runs in one loop, the labelling algorithm of
+explicit-state model checking. So each subformula is computed once per
+sentence, and no nesting is too deep. A subformula with k free
+variables is computed once per assignment of the pool's n constants to
+them, n^k masks, and more than 10^7 raise BoundExplosionError.
+eval_formula is the plain recursive reference, one world at a time,
+that the tests compare the evaluator against.
 
 A model caches its successor lists and sorted domains on first use;
 dataclasses.replace gives a copy whose caches are cold.
@@ -54,7 +57,6 @@ from .syntax import (
     Or,
     PropVar,
     Top,
-    TooDeepError,
     Var,
     _BUDGET,
     universal_closure,
@@ -214,9 +216,12 @@ class ModelPool:
     """Models checked as their disjoint union (see the module docstring).
 
     Model j's worlds take the bit positions offsets[j] .. offsets[j + 1] - 1,
-    in the order of its m.worlds. edges pairs each position offset d with
-    the mask of the positions that have an edge to the position d further
-    on. Facts at worlds outside m.worlds are ignored.
+    in the order of its m.worlds. down pairs each position offset d >= 0
+    with the mask of the positions that have an edge to the position d
+    further on, and up each d > 0 with those that have an edge to the
+    position d back. present and absent hold, for each of consts in turn,
+    the mask of the positions where it is in the domain and its
+    complement. Facts at worlds outside m.worlds are ignored.
     """
 
     def __init__(self, models: Iterable[KripkeModel]):
@@ -249,23 +254,21 @@ class ModelPool:
             self.offsets.append(self.offsets[-1] + len(m.worlds))
         self.all_mask = (1 << self.offsets[-1]) - 1
         self.consts = sorted(self.const_masks, key=_const_key)
-        self.edges = sorted(edges.items())
-        self._memo: dict[object, int] = {}
+        self.present = [self.const_masks[c] for c in self.consts]
+        self.absent = [~mask for mask in self.present]
+        self.down = sorted((d, e) for d, e in edges.items() if d >= 0)
+        self.up = sorted((-d, e) for d, e in edges.items() if d < 0)
 
     def masks(self, sentences: Iterable[Formula]) -> list[int]:
         """One mask per sentence, of the worlds of the pool where it holds.
         Each is checked, model by model in pool order, to be a sentence as
-        the module docstring defines it, or raises EvalError; one nested too
-        deeply for the evaluator raises TooDeepError."""
-        # The memo is keyed by node identity, so it must not outlive the
-        # sentences, which the tuple keeps alive until the call ends.
-        sentences = tuple(sentences)
-        try:
-            return [self._mask(self._sentence(f), {}) for f in sentences]
-        except RecursionError:
-            raise TooDeepError("formula nests too deeply") from None
-        finally:
-            self._memo = {}
+        the module docstring defines it, or raises EvalError. Each runs as
+        its compiled program: a subformula is computed once per sentence,
+        and again in each later sentence that shares it, and any depth of
+        nesting evaluates. A subformula with k free variables over the
+        pool's n constants needs n^k masks, and over 10^7 raise
+        BoundExplosionError before any is made."""
+        return [self._run(_program(self._sentence(f))) for f in sentences]
 
     def split(self, mask: int) -> list[int]:
         """The part of mask in each model, by position in its m.worlds."""
@@ -294,85 +297,184 @@ class ModelPool:
                 raise EvalError(f"constant {c} is outside the domain of world {w}")
         return f
 
-    def _mask(self, f: Formula, env: dict[str, str]) -> int:
-        # Keyed by node identity, which is structural since nodes are
-        # interned, plus the values of f's free variables (cached on the
-        # node) in name order when it has any.
-        fv = f._free_vars
-        key = (id(f), *[env[v] for v in sorted(fv)]) if fv else id(f)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = _HANDLERS.get(type(f), ModelPool._other)(self, f, env)
-        return got
+    def _run(self, program: tuple[list[tuple], int]) -> int:
+        # One value per instruction: a mask for a closed node, and for a
+        # node with k free variables a list of n^k masks, one per
+        # assignment of the pool's n constants to its variables in name
+        # order, the first variable most significant.
+        code, k_max = program
+        n = len(self.consts)
+        if n**k_max > _BUDGET:
+            raise BoundExplosionError(f"{n}^{k_max} variable assignments to evaluate exceed 10^7")
+        every = self.all_mask
+        facts = self.fact_masks
+        values: list = []
+        put = values.append
+        for cls, k, a, b, spots_a, spots_b, extra in code:
+            if k:
+                put(self._open(values, cls, k, a, b, spots_a, spots_b, extra))
+            elif cls is Implies:
+                put((every ^ values[a]) | values[b])
+            elif cls is Box:
+                put(self._box(values[a]))
+            elif cls is And:
+                put(values[a] & values[b])
+            elif cls is Not:
+                put(every ^ values[a])
+            elif cls is Top:
+                put(every)
+            elif cls is Or:
+                put(values[a] | values[b])
+            elif cls is Atom:
+                # _sentence has found its constants in every domain.
+                put(facts.get(extra, 0))
+            elif cls is Bottom:
+                put(0)
+            else:
+                put(self._quantify(cls, 0, extra, values[a], spots_a))
+        return values[-1]
 
-    def _top(self, f: Top, env: dict[str, str]) -> int:
-        return self.all_mask
+    def _open(self, values: list, cls: type, k: int, a: int, b: int, spots_a: Optional[tuple[int, ...]],
+              spots_b: Optional[tuple[int, ...]], extra: object) -> list[int]:
+        """The n^k masks of a node with k free variables."""
+        if cls is Atom:
+            # Its facts, less the worlds where a variable's constant is not in the domain.
+            pred, template = extra
+            out = []
+            for names, masks in zip(product(self.consts, repeat=k), product(self.present, repeat=k)):
+                args = tuple(names[t] if type(t) is int else t for t in template)
+                out.append(self.fact_masks.get((pred, args), 0) & reduce(int.__and__, masks))
+            return out
+        if cls is Forall or cls is Exists:
+            return self._quantify(cls, k, extra, values[a], spots_a)
+        left = self._spread(values[a], spots_a, k)
+        every = self.all_mask
+        if cls is Not:
+            return [every ^ v for v in left]
+        if cls is Box:
+            return [self._box(v) for v in left]
+        right = self._spread(values[b], spots_b, k)
+        if cls is Implies:
+            return [(every ^ v) | w for v, w in zip(left, right)]
+        if cls is And:
+            return [v & w for v, w in zip(left, right)]
+        return [v | w for v, w in zip(left, right)]
 
-    def _bottom(self, f: Bottom, env: dict[str, str]) -> int:
-        return 0
-
-    def _atom(self, f: Atom, env: dict[str, str]) -> int:
-        args = []
-        guard = self.all_mask
-        for term in f.args:
-            c = env[term.name] if isinstance(term, Var) else term.name
-            args.append(c)
-            guard &= self.const_masks.get(c, 0)
-        return self.fact_masks.get((f.pred, tuple(args)), 0) & guard
-
-    def _propvar(self, f: PropVar, env: dict[str, str]) -> int:
-        raise EvalError(f"propositional variable #{f.name} has no truth value in a model")
-
-    def _not(self, f: Not, env: dict[str, str]) -> int:
-        return ~self._mask(f.body, env) & self.all_mask
-
-    def _implies(self, f: Implies, env: dict[str, str]) -> int:
-        return (~self._mask(f.left, env) | self._mask(f.right, env)) & self.all_mask
-
-    def _and(self, f: And, env: dict[str, str]) -> int:
-        return self._mask(f.left, env) & self._mask(f.right, env)
-
-    def _or(self, f: Or, env: dict[str, str]) -> int:
-        return self._mask(f.left, env) | self._mask(f.right, env)
-
-    def _forall(self, f: Forall, env: dict[str, str]) -> int:
-        acc = self.all_mask
-        env = dict(env)
-        for c in self.consts:
-            env[f.var] = c
-            acc &= self._mask(f.body, env) | ~self.const_masks[c]
-            if not acc:
-                break
-        return acc & self.all_mask
-
-    def _exists(self, f: Exists, env: dict[str, str]) -> int:
+    def _box(self, mask: int) -> int:
+        # A world fails box S when it has an edge to a world outside S.
+        missing = self.all_mask ^ mask
         acc = 0
-        env = dict(env)
-        for c in self.consts:
-            env[f.var] = c
-            acc |= self._mask(f.body, env) & self.const_masks[c]
-            if acc == self.all_mask:
-                break
-        return acc
+        for d, e in self.down:
+            acc |= e & missing >> d
+        for d, e in self.up:
+            acc |= e & missing << d
+        return self.all_mask ^ acc
 
-    def _box(self, f: Box, env: dict[str, str]) -> int:
-        # A world fails box S when, for some offset d, it has an edge to
-        # the world d positions on and that world is outside S.
-        missing = ~self._mask(f.body, env) & self.all_mask
-        acc = 0
-        for d, e in self.edges:
-            acc |= e & (missing >> d if d >= 0 else missing << -d)
-        return ~acc & self.all_mask
+    def _quantify(self, cls: type, k: int, occurs: bool, body: object, spots: Optional[tuple[int, ...]]) -> object:
+        """The value of a quantifier with k free variables from that of its
+        body, in which its variable occurs or not; spots are as for _spread,
+        with the quantifier's own variable last among the node's."""
+        n = len(self.consts)
+        if occurs:
+            body = self._spread(body, spots, k + 1)
+            parts = [body[i * n:i * n + n] for i in range(n**k)]
+        else:
+            # The body has the quantifier's variables: one value for every constant.
+            parts = [[v] * n for v in (body if k else [body])]
+        out = []
+        for part in parts:
+            if cls is Forall:
+                acc = self.all_mask
+                for v, absent in zip(part, self.absent):
+                    acc &= v | absent
+            else:
+                acc = 0
+                for v, present in zip(part, self.present):
+                    acc |= v & present
+            out.append(acc)
+        return out if k else out[0]
 
-    def _other(self, f: object, env: dict[str, str]) -> int:
-        raise TypeError(f"not a formula: {f!r}")
+    def _spread(self, value: object, spots: Optional[tuple[int, ...]], k: int) -> object:
+        """A child's value listed under the assignments of a node with k
+        variables, among which the child's variables sit at spots; None
+        means they are the node's."""
+        n = len(self.consts)
+        if spots is None:
+            return value
+        if not spots:
+            return [value] * n**k
+        # The child's assignment index under each of the node's.
+        index = [0]
+        for p in range(k):
+            weight = sum(n ** (len(spots) - 1 - j) for j, s in enumerate(spots) if s == p)
+            index = [i + weight * c for i in index for c in range(n)]
+        return [value[i] for i in index]
 
 
-# One handler per node class, named after it; any other class is _other.
-_HANDLERS = {
-    cls: getattr(ModelPool, "_" + cls.__name__.lower())
-    for cls in (Top, Bottom, Atom, PropVar, Not, Implies, And, Or, Forall, Exists, Box)
-}
+def _program(f: Formula) -> tuple[list[tuple], int]:
+    """The sentence f compiled for ModelPool, cached on f: its distinct
+    nodes in postorder, children left to right, and the largest number of
+    free variables of any of them. Each instruction is (class, k, left,
+    right, spots of left, spots of right, extra): k is the node's number
+    of free variables, left and right the instruction indices of its
+    children, and the spots of a child the positions of its variables
+    among the node's, both sorted by name (a quantifier's own variable
+    comes last), or None when they are the same. extra is an atom's
+    predicate and arguments, the constants as names and the variables as
+    spots, and for a quantifier whether its variable occurs in its body."""
+    got = f.__dict__.get("_program")
+    if got is None:
+        got = f.__dict__["_program"] = _compile(f)
+    return got
+
+
+def _spots(child: Formula, names: list[str]) -> Optional[tuple[int, ...]]:
+    """The positions among names of child's variables in name order, or
+    None if that is all of names in turn."""
+    spots = tuple(names.index(v) for v in sorted(child._free_vars)) if names else ()
+    return None if spots == tuple(range(len(names))) else spots
+
+
+def _compile(f: Formula) -> tuple[list[tuple], int]:
+    index: dict[int, int] = {}
+    code: list[tuple] = []
+    k_max = 0
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in index:
+            stack.pop()
+            continue
+        todo = [c for c in g._kids() if id(c) not in index]
+        if todo:
+            stack += reversed(todo)
+            continue
+        stack.pop()
+        cls = type(g)
+        names = sorted(g._free_vars)
+        k = len(names)
+        k_max = max(k_max, k)
+        a = b = -1
+        spots_a = spots_b = extra = None
+        if cls is Atom:
+            extra = (g.pred, tuple(names.index(t.name) if isinstance(t, Var) else t.name for t in g.args))
+        elif cls is PropVar:
+            raise EvalError(f"propositional variable #{g.name} has no truth value in a model")
+        elif cls in (Forall, Exists):
+            a = index[id(g.body)]
+            extra = g.var in g.body._free_vars
+            spots_a = _spots(g.body, names + [g.var] if extra else names)
+        elif cls in (Not, Box):
+            a = index[id(g.body)]
+            spots_a = _spots(g.body, names)
+        elif cls in (And, Or, Implies):
+            a, b = index[id(g.left)], index[id(g.right)]
+            spots_a, spots_b = _spots(g.left, names), _spots(g.right, names)
+        elif cls not in (Top, Bottom):
+            raise TypeError(f"not a formula: {g!r}")
+        index[id(g)] = len(code)
+        code.append((cls, k, a, b, spots_a, spots_b, extra))
+    return code, k_max
 
 
 def truth_mask(m: KripkeModel, f: Formula) -> int:
@@ -385,11 +487,11 @@ def truth_mask(m: KripkeModel, f: Formula) -> int:
 
 
 def batch_truth_masks(m: KripkeModel, formulas: Sequence[Formula]) -> list[int]:
-    """Truth masks of several sentences over one shared evaluation cache.
-
-    Equivalent to [truth_mask(m, f) for f in formulas], but subformula
-    objects shared between the inputs are evaluated once, which is what
-    verification sweeps over families of related formulas want.
+    """Truth masks of several sentences, [truth_mask(m, f) for f in
+    formulas] on one set of tables. Each sentence runs its compiled
+    program, cached on it: a subformula is computed once within a
+    sentence, not shared between sentences, and any depth of nesting
+    evaluates.
     """
     return ModelPool((m,)).masks(formulas)
 

@@ -106,11 +106,23 @@ def test_deep_nesting_is_a_single_error_line(capsys):
     assert "Traceback" not in err
 
 
-def test_formula_too_deep_for_the_evaluator_is_a_single_error_line():
-    # Within the parser's depth limit, but too deep for the mask evaluator.
-    proc = run_cli("verify-fixpoint", "~" * 975 + "box #p", "--n", "0", expect=1)
-    assert proc.stderr == "error: too-deep: formula nests too deeply\n"
-    assert proc.stdout == ""
+def test_verify_fixpoint_checks_a_formula_nested_975_deep():
+    # Within the parser's depth limit; the evaluator has none.
+    proc = run_cli("verify-fixpoint", "~" * 975 + "box #p", "--n", "0")
+    got = as_dict(proc.stdout)
+    assert (got["exhaustive.models"], got["random.models"], got["verdict"]) == ("39", "200", "pass")
+    assert proc.stderr == ""
+
+
+def test_check_over_the_assignment_budget_is_one_error_line(tmp_path, capsys):
+    # Eight variables over ten constants: one subformula needs 10^8 masks.
+    path = tmp_path / "ten.model"
+    path.write_text("worlds: 1\ndomain: 0 " + " ".join(f"c{i}" for i in range(10)) + "\nfact: 0 P c0\n",
+                    encoding="utf-8")
+    text = " & ".join(f"P(x{i})" for i in range(8))
+    code = cli.main(["check", text, "--model", str(path)], io.StringIO())
+    err = capsys.readouterr().err
+    assert (code, err) == (1, "error: bound-explosion: 10^8 variable assignments to evaluate exceed 10^7\n")
 
 
 def test_deep_boxes_end_in_a_result_or_one_too_deep_line(tmp_path, capsys):

@@ -13,7 +13,15 @@ from modalfix.fixpoint import (
     sigma_fixpoint,
     simultaneous_sigma_fixpoints,
 )
-from modalfix.kripke import KripkeModel, ModelPool, enumerate_models, first_failing_world
+from modalfix.kripke import (
+    KripkeModel,
+    ModelGenSpec,
+    ModelPool,
+    enumerate_models,
+    first_failing_world,
+    frame_report,
+    random_model,
+)
 from modalfix.syntax import (
     FixpointTarget,
     NotDecomposableError,
@@ -233,6 +241,24 @@ def test_boolean_sigma_of_eight_guarded_parts_is_a_small_dag():
     assert len(r.derivation.children) == 8
     assert prop_vars(r.result) == frozenset()
     assert len(str(r.result._width)) == 54
+
+
+def test_boolean_sigma_of_eight_guarded_parts_satisfies_its_equation():
+    # The solution nests 2439 deep; it is checked on 300 seeded
+    # finite transitive irreflexive models of up to 5 worlds.
+    text = " & ".join(f"~box (#p & P{i})" for i in range(8))
+    f = parse(text)
+    r = boolean_sigma_fixpoint(FixpointTarget(f, "p")).result
+    signature = {f"P{i}": 0 for i in range(8)}
+    pool = ModelPool(
+        random_model(ModelGenSpec(world_count=(1, 5), height_bound=4, signature=signature,
+                                  require=frozenset({"transitive"}), seed=seed))
+        for seed in range(300)
+    )
+    assert all("FI" in frame_report(m).classes for m in pool.models)
+    result, equation = pool.masks([r, iff(r, subst_prop(f, "p", r))])
+    assert equation == pool.all_mask
+    assert result not in (0, pool.all_mask)
 
 
 def test_boolean_sigma_ends_at_the_node_budget(monkeypatch):

@@ -7,6 +7,7 @@ import hashlib
 
 import pytest
 
+from modalfix import kripke
 from modalfix.kripke import (
     BoundExplosionError,
     EvalError,
@@ -29,7 +30,7 @@ from modalfix.kripke import (
     validate_model,
 )
 from modalfix.countermodel import chain_model
-from modalfix.syntax import FALSE, And, Atom, Box, Const, Not, TooDeepError, parse
+from modalfix.syntax import FALSE, And, Atom, Box, Const, Not, parse, universal_closure
 
 
 def two_chain() -> KripkeModel:
@@ -485,19 +486,45 @@ def test_format_model_is_sorted_and_stable():
     assert "domain: 0 a b" in lines
 
 
-def test_formula_too_deep_for_the_evaluator_raises_too_deep():
-    # ~ ... ~box false with 975 negations, built directly: parsing it
-    # needs more stack than a test has left.
-    f = Box(FALSE)
-    for _ in range(975):
-        f = Not(f)
+def test_formulas_of_any_depth_evaluate_on_every_entry_point():
+    # ~ ... ~box false with 975 and with 100 000 negations, built directly:
+    # parsing them needs more stack than a test has left. The evaluator
+    # runs each sentence as a postorder program, so depth needs no stack.
     m = chain_model(1)
-    for check in (
-        lambda: truth_mask(m, f),
-        lambda: batch_truth_masks(m, [f]),
-        lambda: ModelPool([m, m]).masks([f]),
-        lambda: valid_in_model(m, f),
-        lambda: first_failing_world(m, f),
-    ):
-        with pytest.raises(TooDeepError, match="^formula nests too deeply$"):
-            check()
+    full = (1 << len(m.worlds)) - 1
+    box_false = truth_mask(m, Box(FALSE))
+    assert box_false not in (0, full)
+    f = Box(FALSE)
+    depth = 0
+    for target in (975, 100_000):
+        while depth < target:
+            f = Not(f)
+            depth += 1
+        want = box_false ^ full if depth % 2 else box_false
+        assert truth_mask(m, f) == want
+        assert batch_truth_masks(m, [f]) == [want]
+        assert ModelPool([m, m]).masks([f]) == [want | want << len(m.worlds)]
+        assert valid_in_model(m, f) is False
+        missing = ~want & full
+        assert first_failing_world(m, f) == m.worlds[(missing & -missing).bit_length() - 1]
+
+
+def test_assignments_over_the_budget_raise_bound_explosion(monkeypatch):
+    # A node with k free variables over n constants needs n^k masks.
+    m = KripkeModel((0,), frozenset(), {0: frozenset(f"c{i}" for i in range(10))},
+                    {(0, "P"): frozenset({("c0",), ("c3",)})}, {"P": 1})
+    eight = universal_closure(parse(" & ".join(f"P(x{i})" for i in range(8))))
+    with pytest.raises(BoundExplosionError, match=r"^10\^8 variable assignments to evaluate exceed 10\^7$"):
+        valid_in_model(m, eight)
+    # At 10^2 assignments a budget of 100 is enough and 99 is not.
+    two = parse("forall u. forall v. (P(u) -> P(v))")
+    monkeypatch.setattr(kripke, "_BUDGET", 100)
+    assert truth_mask(m, two) == int(eval_formula(m, 0, two))
+    monkeypatch.setattr(kripke, "_BUDGET", 99)
+    with pytest.raises(BoundExplosionError, match=r"^10\^2 "):
+        truth_mask(m, two)
+    # Sentences are checked in order: the first one at fault decides the error.
+    with pytest.raises(EvalError, match="unbound variable u"):
+        batch_truth_masks(m, [parse("P(u)"), two])
+    with pytest.raises(BoundExplosionError):
+        batch_truth_masks(m, [two, parse("P(u)")])

@@ -245,14 +245,17 @@ def test_mask_evaluator_agrees_with_reference(f: Formula, seed: int):
 
 
 @st.composite
-def small_models(draw) -> KripkeModel:
+def small_models(
+    draw, constants: tuple[str, ...] = ("c0", "c1"), sig: tuple[tuple[str, int], ...] = (("P", 1), ("Q", 1), ("R", 0))
+) -> KripkeModel:
     """Well formed models of 1 to 3 worlds, listed in any order, with any
     relation: self-loops and cycles included. Domains are drawn per world
-    and then grown along the edges until they are monotone."""
+    from constants and then grown along the edges until they are monotone;
+    facts for the predicates of sig are drawn per world."""
     k = draw(st.integers(1, 3))
     worlds = tuple(draw(st.permutations(range(k))))
     rel = frozenset(draw(st.sets(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds)))))
-    domains = {w: frozenset(draw(st.sets(st.sampled_from(("c0", "c1")), min_size=1))) for w in worlds}
+    domains = {w: frozenset(draw(st.sets(st.sampled_from(constants), min_size=1))) for w in worlds}
     changed = True
     while changed:
         changed = False
@@ -260,7 +263,7 @@ def small_models(draw) -> KripkeModel:
             if not domains[a] <= domains[b]:
                 domains[b] |= domains[a]
                 changed = True
-    sig = {"P": 1, "Q": 1, "R": 0}
+    sig = dict(sig)
     interp = {}
     for w in worlds:
         for pred, arity in sig.items():
@@ -313,7 +316,8 @@ def test_model_pool_agrees_with_reference_in_each_model(models, f, g):
     _check_pool_against_reference(pool, [universal_closure(h) for h in (f, Box(g), And(f, Not(g)))])
     # Then one sentence per call on the same pool. Each is built afresh and
     # dies before the next is built, so a new node may take a dead one's
-    # address: a memo that outlived its call would answer for it.
+    # address: a cache keyed by address that outlived its node would
+    # answer for it.
     for make in (
         lambda: Or(g, Box(f)),
         lambda: And(f, Not(g)),
@@ -321,6 +325,60 @@ def test_model_pool_agrees_with_reference_in_each_model(models, f, g):
         lambda: Or(Not(f), Box(Box(g))),
     ):
         _check_pool_against_reference(pool, [universal_closure(make())])
+
+
+FOUR_CONSTANTS = (("c0", "c1", "c2", "c3"), (("P", 1), ("S", 2), ("R", 0)))
+
+
+@given(
+    st.lists(small_models(*FOUR_CONSTANTS), min_size=1, max_size=3),
+    formulas(with_hole=False, preds=FOUR_CONSTANTS[1]),
+    formulas(with_hole=False, preds=FOUR_CONSTANTS[1]),
+)
+@settings(max_examples=100, deadline=None)
+def test_model_pool_agrees_with_reference_over_four_constants(models, f, g):
+    # With three or more constants, an assignment index that is wrong but
+    # happens to be right for two constants shows; the binary S gives
+    # subformulas whose variables are some of their parent's.
+    pool = ModelPool(models)
+    _check_pool_against_reference(
+        pool, [universal_closure(h) for h in (f, And(f, g), Exists("v", Or(Box(f), g)))]
+    )
+
+
+def test_model_pool_edge_cases_agree_with_reference():
+    m = KripkeModel(
+        (0, 1, 2),
+        frozenset({(0, 1), (0, 2), (1, 2)}),
+        {0: frozenset({"c0"}), 1: frozenset({"c0", "c1", "c2"}), 2: frozenset({"c0", "c1", "c2"})},
+        {(1, "P"): frozenset({("c0",), ("c2",)}), (2, "P"): frozenset({("c1",)}),
+         (1, "S"): frozenset({("c0", "c1"), ("c2", "c2")}), (2, "S"): frozenset({("c1", "c0")})},
+        {"P": 1, "S": 2},
+    )
+    sentences = [
+        # A binder whose variable does not occur in its body.
+        parse("forall u. exists v. box P(u)"),
+        parse("exists u. forall v. forall w. S(w, u)"),
+        # Shadowed binders.
+        parse("exists u. forall u. P(u)"),
+        parse("forall u. (P(u) -> exists u. (S(u, u) & box exists u. P(u)))"),
+        parse("forall v. forall u. (S(u, v) -> exists v. S(v, u))"),
+        # Children with two of their parent's three variables, in turn.
+        parse("forall u. forall v. forall w. (S(u, w) -> S(w, v) | S(v, u))"),
+        parse("exists w. forall u. exists v. (S(w, u) & (P(v) | S(v, w)))"),
+        # Binders whose variable sorts before the other variable of their body.
+        parse("forall w. exists u. S(u, w)"),
+        parse("forall w. exists u. S(w, u)"),
+    ]
+    # S is not symmetric, and at the second world it is turned around.
+    s = {("c0", "c1"), ("c0", "c2"), ("c1", "c2"), ("c2", "c2")}
+    turned = KripkeModel((0, 1), frozenset(), {0: frozenset({"c0", "c1", "c2"}), 1: frozenset({"c0", "c1", "c2"})},
+                         {(0, "S"): frozenset(s), (1, "S"): frozenset((b, a) for a, b in s)}, {"S": 2})
+    _check_pool_against_reference(ModelPool([m, NO_WORLDS, turned, m]), sentences)
+    # The empty pool: no worlds, no constants, and every mask empty.
+    pool = ModelPool([])
+    assert (pool.all_mask, pool.consts) == (0, [])
+    assert pool.masks(sentences) == [0] * len(sentences)
 
 
 @given(small_models(), formulas(with_hole=False))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from modalfix import cli, fixpoint, syntax
+from modalfix import cli, fixpoint, kripke, syntax
 from modalfix.fixpoint import fixpoint_qk
 from modalfix.syntax import (
     And,
@@ -571,5 +571,7 @@ def test_only_the_parser_and_the_printer_recurse():
     assert "_Parser.expr" in found
     assert found <= {"_Parser.expr", "_Parser.atom", "_Unary._print", "_Binary._print"}
     # The guarded construction, its reports and the CLI run on explicit
-    # stacks and loops.
+    # stacks and loops, and so does the model checker: only the reference
+    # evaluator recurses.
     assert _self_calls_in(fixpoint) == _self_calls_in(cli) == set()
+    assert _self_calls_in(kripke) <= {"_eval"}
