@@ -34,10 +34,9 @@ def _emit(pairs: list[tuple[str, str]], fmt: str, out: TextIO) -> None:
             out.write(f"{key}: {value}\n")
 
 
-def _common_flags(sub: argparse.ArgumentParser, seed: bool = True) -> None:
+def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["text", "lines"], default="text")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def _cmd_fixpoint(args: argparse.Namespace, out: TextIO) -> int:

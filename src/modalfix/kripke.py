@@ -513,26 +513,44 @@ def first_failing_world(m: KripkeModel, f: Formula) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # Frame analysis
 
-def _heights(worlds: Sequence[int], succ: Mapping[int, Sequence[int]]) -> Optional[dict[int, int]]:
-    # Heights in depth-first finishing order, or None on a cycle. The path
-    # is an explicit stack, so long chains need no recursion depth.
+def _heights(succ: Sequence[int], roots: Iterable[int]) -> Optional[dict[int, int]]:
+    # Heights of the worlds reachable from roots, by index into the
+    # successor masks succ, in depth-first finishing order, or None on a
+    # cycle. The path is an explicit stack, so long chains need no
+    # recursion depth.
     heights: dict[int, int] = {}
-    for root in worlds:
+    for root in roots:
         if root in heights:
             continue
-        path = {root: iter(succ[root])}  # each world on it, and its successors left
+        path = {root: _bits(succ[root])}  # each world on it, and its successors left
         while path:
             w = next(reversed(path))
             for v in path[w]:
                 if v in path:
                     return None
                 if v not in heights:
-                    path[v] = iter(succ[v])
+                    path[v] = _bits(succ[v])
                     break
             else:
                 del path[w]
-                heights[w] = max([heights[v] + 1 for v in succ[w]], default=0)
+                heights[w] = max([heights[v] + 1 for v in _bits(succ[w])], default=0)
     return heights
+
+
+def _successor_masks(m: KripkeModel) -> tuple[dict[int, int], list[int]]:
+    """Each world's index, in ascending order of id, and successor mask by
+    index. An edge with an end outside m.worlds raises EvalError."""
+    index = {w: i for i, w in enumerate(sorted(set(m.worlds)))}
+    succ = [0] * len(index)
+    for a, b in m.rel:
+        if a not in index or b not in index:
+            raise EvalError(f"unknown world {a if a not in index else b}")
+        succ[index[a]] |= 1 << index[b]
+    return index, succ
+
+
+def _transitive(succ: Sequence[int]) -> bool:
+    return not any(succ[b] & ~s for s in succ for b in _bits(s))
 
 
 @dataclass(frozen=True)
@@ -550,35 +568,42 @@ def frame_report(m: KripkeModel) -> FrameReport:
 
     classes is drawn from FI (finite, transitive, irreflexive), FIFD (FI
     with finite domains), and FH (transitive with every world of finite
-    height). A cyclic frame has no heights and lies in none of them.
+    height). A cyclic frame has no heights and lies in none of them. An
+    edge with an end outside m.worlds raises EvalError.
     """
-    succ = {w: m.successors(w) for w in m.worlds}
-    transitive = all((a, c) in m.rel for a, b in m.rel for c in succ.get(b, ()))
-    irreflexive = all((w, w) not in m.rel for w in m.worlds)
-    heights = _heights(m.worlds, succ)
+    index, succ = _successor_masks(m)
+    transitive = _transitive(succ)
+    irreflexive = not any(s >> i & 1 for i, s in enumerate(succ))
+    # Successors are visited in ascending order of id and roots in the
+    # order of m.worlds.
+    found = _heights(succ, (index[w] for w in m.worlds))
+    ids = list(index)
+    heights = None if found is None else {ids[i]: h for i, h in found.items()}
     cwf = heights is not None
     frame_height = max(heights.values()) if heights else None
     classes = []
     if transitive and irreflexive:
-        classes.append("FI")
-        classes.append("FIFD")  # domains of finite models are always finite
+        classes += ["FI", "FIFD"]  # domains of finite models are always finite
     if transitive and cwf:
         classes.append("FH")
     return FrameReport(transitive, irreflexive, cwf, heights, frame_height, tuple(classes))
 
 
 def generated_submodel(m: KripkeModel, w: int) -> KripkeModel:
-    """Restriction of m to w and the worlds reachable from it."""
-    reachable = {w}
-    frontier = [w]
-    succ = {v: m.successors(v) for v in m.worlds}
+    """Restriction of m to w and the worlds reachable from it. A world
+    outside m.worlds, or one there without a domain, raises EvalError."""
+    index, succ = _successor_masks(m)
+    if w not in index:
+        raise EvalError(f"unknown world {w}")
+    reach, frontier = 0, 1 << index[w]
     while frontier:
-        v = frontier.pop()
-        for u in succ[v]:
-            if u not in reachable:
-                reachable.add(u)
-                frontier.append(u)
+        reach |= frontier
+        frontier = reduce(int.__or__, [succ[i] for i in _bits(frontier)]) & ~reach
+    reachable = {v for v, i in index.items() if reach >> i & 1}
     worlds = tuple(v for v in m.worlds if v in reachable)
+    for v in worlds:
+        if v not in m.domains:
+            raise EvalError(f"unknown world {v}")
     return KripkeModel(
         worlds=worlds,
         rel=frozenset((a, b) for a, b in m.rel if a in reachable and b in reachable),
@@ -694,14 +719,6 @@ def random_model(spec: ModelGenSpec) -> KripkeModel:
     return KripkeModel(worlds, frozenset(rel), domains, interp, dict(spec.signature))
 
 
-def _nonempty_subsets(pool: Sequence[str]) -> list[frozenset[str]]:
-    out = []
-    for bits in range(1, 1 << len(pool)):
-        out.append(frozenset(pool[i] for i in range(len(pool)) if bits >> i & 1))
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
-
-
 def enumerate_models(
     max_worlds: int,
     max_domain: int,
@@ -724,65 +741,57 @@ def enumerate_models(
 
     if any(2 ** (k * k) > _BUDGET for k in range(1, max_worlds + 1)):
         raise BoundExplosionError("relation candidates alone exceed 10^7")
+    frames = []
     estimate = 0
     for k in range(1, max_worlds + 1):
-        rels = _candidate_rels(k, require, max_height)
+        frames.append(_candidate_rels(k, require, max_height))
         per_world_interp = 2 ** sum(max_domain ** a for a in sig.values())
-        estimate += len(rels) * (2**max_domain - 1) ** k * per_world_interp**k
+        estimate += len(frames[-1]) * (2**max_domain - 1) ** k * per_world_interp**k
         if estimate > _BUDGET:
             raise BoundExplosionError(f"estimated model count exceeds 10^7 at {k} worlds")
+    if not estimate:
+        return  # no frame passes, so no fact options are needed
 
-    pool = [f"c{i}" for i in range(max_domain)]
-    subsets = _nonempty_subsets(pool)
-    for k in range(1, max_worlds + 1):
+    subsets = [frozenset(f"c{i}" for i in range(max_domain) if bits >> i & 1) for bits in range(1, 1 << max_domain)]
+    subsets.sort(key=lambda s: (len(s), sorted(s)))
+    preds = sorted(sig)
+    # Per domain and predicate, every set of facts, in the order of a
+    # binary count over its tuples.
+    options = {}
+    for dom in subsets:
+        options[dom] = []
+        for pred in preds:
+            tuples = list(product(sorted(dom, key=_const_key), repeat=sig[pred]))
+            options[dom].append([frozenset(t for i, t in enumerate(tuples) if bits >> i & 1)
+                                 for bits in range(1 << len(tuples))])
+    for k, rels in enumerate(frames, 1):
         worlds = tuple(range(k))
-        for rel in _candidate_rels(k, require, max_height):
-            edges = sorted(rel)
+        slots = [(w, pred) for w in worlds for pred in preds]
+        for rel in rels:
             for combo in product(subsets, repeat=k):
-                if any(not combo[a] <= combo[b] for a, b in edges):
+                if any(not combo[a] <= combo[b] for a, b in rel):
                     continue
-                domains = {w: combo[w] for w in worlds}
-                slots: list[tuple[int, str, list[tuple[str, ...]]]] = []
-                for w in worlds:
-                    dom = sorted(domains[w], key=_const_key)
-                    for pred in sorted(sig):
-                        slots.append((w, pred, list(product(dom, repeat=sig[pred]))))
-                choice_lists = []
-                for w, pred, tuples in slots:
-                    options = []
-                    for bits in range(1 << len(tuples)):
-                        options.append(
-                            frozenset(tuples[i] for i in range(len(tuples)) if bits >> i & 1)
-                        )
-                    choice_lists.append(options)
-                for choices in product(*choice_lists):
-                    interp = {
-                        (w, pred): chosen
-                        for (w, pred, _), chosen in zip(slots, choices)
-                        if chosen
-                    }
-                    yield KripkeModel(worlds, rel, dict(domains), interp, dict(sig))
+                for choices in product(*[opts for dom in combo for opts in options[dom]]):
+                    interp = {slot: chosen for slot, chosen in zip(slots, choices) if chosen}
+                    yield KripkeModel(worlds, rel, dict(zip(worlds, combo)), interp, dict(sig))
 
 
-def _candidate_rels(
-    k: int, require: frozenset[str], max_height: Optional[int]
-) -> list[frozenset[tuple[int, int]]]:
-    pairs = [(a, b) for a in range(k) for b in range(k)]
+def _candidate_rels(k: int, require: frozenset[str], max_height: Optional[int]) -> list[frozenset[tuple[int, int]]]:
+    # Bit a*k + b of r is the edge (a, b), so row a of r is the
+    # successor mask of world a.
+    loops = sum(1 << a * k + a for a in range(k))
     out = []
-    for bits in range(1 << len(pairs)):
-        rel = frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
-        if "irreflexive" in require and any(a == b for a, b in rel):
+    for r in range(1 << k * k):
+        if "irreflexive" in require and r & loops:
             continue
-        succ: dict[int, list[int]] = {w: [] for w in range(k)}
-        for a, b in rel:
-            succ[a].append(b)
-        if "transitive" in require and any((a, c) not in rel for a, b in rel for c in succ[b]):
+        succ = [r >> a * k & (1 << k) - 1 for a in range(k)]
+        if "transitive" in require and not _transitive(succ):
             continue
         if max_height is not None:
-            heights = _heights(range(k), succ)
+            heights = _heights(succ, range(k))
             if heights is None or max(heights.values()) > max_height:
                 continue
-        out.append(rel)
+        out.append(frozenset((a, b) for a in range(k) for b in _bits(succ[a])))
     return out
 
 

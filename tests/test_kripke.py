@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
@@ -172,6 +173,12 @@ def test_worlds_without_a_domain_raise_eval_error():
     for check in (truth_mask, valid_in_model, first_failing_world):
         with pytest.raises(EvalError, match="^unknown world 0$"):
             check(m, parse("true"))
+    # So do a reachable world without a domain, and an unknown start.
+    no_domain = dataclasses.replace(two_chain(), domains={1: frozenset({"a"})})
+    with pytest.raises(EvalError, match="^unknown world 0$"):
+        generated_submodel(no_domain, 1)
+    with pytest.raises(EvalError, match="^unknown world 9$"):
+        generated_submodel(two_chain(), 9)
 
 
 def test_edges_to_unknown_worlds_raise_eval_error():
@@ -181,6 +188,12 @@ def test_edges_to_unknown_worlds_raise_eval_error():
             check(m, parse("box true"))
     with pytest.raises(EvalError, match="^unknown world 1$"):
         ModelPool([two_chain(), m]).masks([parse("box true")])
+    # Frame analysis names the world too, at either end of the edge.
+    for rel, name in [({(1, 0), (0, 5)}, 5), ({(7, 1)}, 7)]:
+        bad = dataclasses.replace(two_chain(), rel=frozenset(rel))
+        for check in (lambda m: ModelPool([m]), frame_report, lambda m: generated_submodel(m, 1)):
+            with pytest.raises(EvalError, match=f"^unknown world {name}$"):
+                check(bad)
 
 
 def test_pool_checks_sentences_model_by_model():
@@ -283,6 +296,12 @@ def test_frame_report_long_chain_needs_no_recursion_depth():
     assert list(r.heights.items()) == [(w, 1499 - w) for w in range(1499, -1, -1)]
     closed = dataclasses.replace(m, rel=m.rel | {(1499, 0)})
     assert frame_report(closed).heights is None
+    # World n sees every m < n: 801 worlds and 320 400 edges.
+    r = frame_report(chain_model(800))
+    assert r.transitive and r.irreflexive and r.conversely_well_founded
+    assert r.frame_height == 800
+    assert list(r.heights.items()) == [(w, w) for w in range(801)]
+    assert r.classes == ("FI", "FIFD", "FH")
 
 
 def test_generated_submodel():
@@ -298,6 +317,54 @@ def test_generated_submodel():
     assert sub.rel == frozenset({(2, 0)})
     assert (1, "P") not in sub.interp
     assert validate_model(sub) == []
+
+
+def _closure(rel: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    while True:
+        more = {(a, d) for a, b in rel for c, d in rel if b == c} - rel
+        if not more:
+            return rel
+        rel |= more
+
+
+def _oracle_frame_report(worlds: tuple[int, ...], rel: frozenset[tuple[int, int]]) -> tuple:
+    """Frame properties from sets of pairs alone: transitivity, loops, and
+    heights as longest paths, with a cycle wherever the closure has a loop."""
+    transitive = _closure(rel) == rel
+    irreflexive = all(a != b for a, b in rel)
+    heights = None
+    if all(a != b for a, b in _closure(rel)):
+        heights = {w: 0 for w in worlds}
+        for _ in worlds:
+            for a, b in rel:
+                heights[a] = max(heights[a], heights[b] + 1)
+    return transitive, irreflexive, heights
+
+
+def test_frame_report_agrees_with_a_set_based_oracle():
+    rng = random.Random(14)
+    for _ in range(400):
+        worlds = tuple(rng.sample(range(-3, 50), rng.randint(1, 7)))
+        if rng.random() < 0.5:
+            worlds = tuple(sorted(worlds))
+        density = rng.choice([0.15, 0.4, 0.7])
+        rel = frozenset((a, b) for a in worlds for b in worlds
+                        if rng.random() < density and (a != b or rng.random() < 0.2))
+        if rng.random() < 0.4:
+            rel = _closure(rel)
+        m = KripkeModel(worlds, rel, {w: frozenset({"a"}) for w in worlds}, {}, {})
+        transitive, irreflexive, heights = _oracle_frame_report(worlds, rel)
+        r = frame_report(m)
+        assert (r.transitive, r.irreflexive, r.heights) == (transitive, irreflexive, heights)
+        assert r.conversely_well_founded == (heights is not None)
+        assert r.frame_height == (max(heights.values()) if heights else None)
+        fi = ["FI", "FIFD"] if transitive and irreflexive else []
+        assert r.classes == tuple(fi + (["FH"] if transitive and heights is not None else []))
+    # Depth-first from each world in the order of m.worlds, successors in
+    # ascending order of id; heights are listed as worlds finish.
+    rel = frozenset({(2, 3), (2, 1), (0, 1)})
+    m = KripkeModel((2, 0, 3, 1), rel, {w: frozenset({"a"}) for w in range(4)}, {}, {})
+    assert list(frame_report(m).heights.items()) == [(1, 0), (3, 0), (2, 1), (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +505,32 @@ def test_enumerate_bound_explosion():
         list(enumerate_models(6, 2, {"P": 2}))
     with pytest.raises(GenError):
         list(enumerate_models(0, 1, {}))
+
+
+_FI = ("transitive", "irreflexive")
+
+
+@pytest.mark.parametrize("args, kw, count, pinned", [
+    ((3, 2, {"P": 1}), {"max_height": 0}, 584, "9b53b39b653cace9f0e9aedb90e15694"),
+    ((3, 2, {"P": 1}), {"max_height": 1}, 4024, "71d4d12e065762a74160425895ccf177"),
+    ((3, 2, {"P": 1}), {"max_height": 2}, 6136, "30d6cdbde58dd489df2cdbe897329dd6"),
+    ((3, 2, {"P": 1}), {"max_height": 3}, 6136, "30d6cdbde58dd489df2cdbe897329dd6"),
+    ((2, 2, {"P": 1}), {"require": ("irreflexive",)}, 176, "3bdcdcdad0255c04d33dd50f846fa900"),
+    ((4, 1, {"R": 0}), {"require": _FI}, 3670, "b90c9796d553f0ed7a85b06e2dd794e0"),
+    ((2, 1, {"P": 1, "Q": 1, "R": 0}), {"require": ("transitive",)}, 848, "6234c11b514129d4854258e977deece6"),
+    ((3, 1, {"P": 1, "Q": 1}), {"max_height": 2}, 1652, "2bdac6b4042d46dc643611c7c19a0e19"),
+    ((2, 2, {"S": 2}), {"max_height": 1}, 1076, "c313b26e7c4e4d135848ac5497f4ad65"),
+], ids=["P-h0", "P-h1", "P-h2", "P-h3", "P-irreflexive", "R0-FI", "PQR0-transitive", "PQ-h2", "S2-h1"])
+def test_enumeration_stream_is_pinned(args, kw, count, pinned):
+    # The digest of each model in turn, with the key order of its domains
+    # and facts, as enumerated when frames were built from sets of pairs.
+    digest = hashlib.md5()
+    n = 0
+    for m in enumerate_models(*args, **kw):
+        digest.update(format_model(m).encode())
+        digest.update(repr((list(m.domains), list(m.interp), m.sig)).encode())
+        n += 1
+    assert (n, digest.hexdigest()) == (count, pinned)
 
 
 # ---------------------------------------------------------------------------
