@@ -95,15 +95,16 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
 _CHUNK_WORLDS = 1024
 
 
-def _chunks(models: Iterable[kripke.KripkeModel]) -> Iterator[list[kripke.KripkeModel]]:
-    """Consecutive runs of models of about _CHUNK_WORLDS worlds in all.
-    When making a model raises, the run of models before it comes first."""
-    chunk: list[kripke.KripkeModel] = []
+def _chunks(tables: Iterable[tuple]) -> Iterator[list[tuple]]:
+    """Consecutive runs of model tables of about _CHUNK_WORLDS worlds in
+    all. When making a table raises, the run of tables before it comes
+    first."""
+    chunk: list[tuple] = []
     size = 0
     try:
-        for m in models:
-            chunk.append(m)
-            size += len(m.worlds)
+        for table in tables:
+            chunk.append(table)
+            size += len(table[0])
             if size >= _CHUNK_WORLDS:
                 yield chunk
                 chunk, size = [], 0
@@ -115,18 +116,17 @@ def _chunks(models: Iterable[kripke.KripkeModel]) -> Iterator[list[kripke.Kripke
         yield chunk
 
 
-def _first_invalid(
-    models: Iterable[kripke.KripkeModel], sentence: syntax.Formula
-) -> tuple[int, Optional[kripke.KripkeModel]]:
-    """(i, m) for the first model m, the i-th, in which sentence is not
-    valid, or (number of models, None). The sentence has no constants, so
-    checking it raises in every model or in none."""
+def _first_invalid(tables: Iterable[tuple], sentence: syntax.Formula) -> tuple[int, Optional[kripke.KripkeModel]]:
+    """(i, m) for the first model m, the i-th, of the model tables in
+    which sentence is not valid, or (number of models, None). The sentence
+    has no constants, so checking it raises in every model or in none.
+    Only m is made as a KripkeModel."""
     checked = 0
-    for chunk in _chunks(models):
-        pool = kripke.ModelPool(chunk)
+    for chunk in _chunks(tables):
+        pool = kripke.ModelPool._of_tables(chunk)
         j = pool.first_failing(pool.masks([sentence])[0])
         if j is not None:
-            return checked + j, chunk[j]
+            return checked + j, pool.model(j)
         checked += len(chunk)
     return checked, None
 
@@ -149,20 +149,16 @@ def _cmd_verify_fixpoint(args: argparse.Namespace, out: TextIO) -> int:
         ("input", format_formula(target.formula)),
         ("result", format_formula(trace.result)),
     ]
-    specs = (
-        kripke.ModelGenSpec(
-            world_count=(1, max(2, args.max_worlds + 1)),
-            height_bound=args.n,
-            signature=dict(sig) or {"P": 1},
-            seed=args.seed + i,
-        )
-        for i in range(args.random)
+    spec = kripke.ModelGenSpec(
+        world_count=(1, max(2, args.max_worlds + 1)),
+        height_bound=args.n,
+        signature=dict(sig) or {"P": 1},
     )
-    for name, models in (
-        ("exhaustive", kripke.enumerate_models(args.max_worlds, args.max_domain, sig, max_height=args.n)),
-        ("random", map(kripke.random_model, specs)),
+    for name, tables in (
+        ("exhaustive", kripke._enumerated_tables(args.max_worlds, args.max_domain, sig, max_height=args.n)),
+        ("random", kripke._random_tables(spec, range(args.seed, args.seed + args.random))),
     ):
-        count, m = _first_invalid(models, equation)
+        count, m = _first_invalid(tables, equation)
         if m is not None:
             where = f"random seed {args.seed + count}" if name == "random" else name
             pairs += [("verdict", "fail"), ("counterexample", where)]

@@ -20,13 +20,22 @@ it needs to. The pool's tables hold, per constant and per fact, the mask
 of the worlds where it is present, and per position offset d the mask
 E_d of the worlds with an edge to the world d positions on; box S is the
 complement of the union over d of E_d & shift(~S, d). truth_mask and
-batch_truth_masks check a pool of one. A sentence is compiled once into
-a program, cached on its node: its distinct subformulas in postorder,
-which the pool runs in one loop, the labelling algorithm of
-explicit-state model checking. So each subformula is computed once per
-sentence, and no nesting is too deep. A subformula with k free
-variables is computed once per assignment of the pool's n constants to
-them, n^k masks, and more than 10^7 raise BoundExplosionError.
+batch_truth_masks check a pool of one. A pool is built from one table
+per model, which holds the model's fields, by ORing each world's bits
+into the pool's masks, so a caller with many models checks them in
+chunks of about a thousand worlds, as verify-fixpoint does.
+ModelPool(models) reads the tables off each model. The generators stream
+tables, which verify-fixpoint feeds to pools without making a
+KripkeModel per model, and such a pool makes a model only when one is
+asked for.
+
+A sentence is compiled once into a program, cached on its node: its
+distinct subformulas in postorder, which the pool runs in one loop, the
+labelling algorithm of explicit-state model checking. So each subformula
+is computed once per sentence, and no nesting is too deep. A subformula
+with k free variables is computed once per assignment of the pool's n
+constants to them, n^k masks, and more than 10^7 raise
+BoundExplosionError.
 eval_formula is the plain recursive reference, one world at a time,
 that the tests compare the evaluator against.
 
@@ -122,7 +131,8 @@ def validate_model(m: KripkeModel) -> list[str]:
     if len(set(m.worlds)) != len(m.worlds):
         out.append("worlds: duplicate world ids")
     wset = set(m.worlds)
-    for a, b in sorted(m.rel):
+    edges = sorted(m.rel)
+    for a, b in edges:
         if a not in wset or b not in wset:
             out.append(f"edge: ({a}, {b}) mentions an unknown world")
     for w in m.worlds:
@@ -132,12 +142,18 @@ def validate_model(m: KripkeModel) -> list[str]:
             out.append(f"domain: world {w} has an empty domain")
     for w in sorted(set(m.domains) - wset):
         out.append(f"domain: entry for unknown world {w}")
-    for a, b in sorted(m.rel):
-        if a in m.domains and b in m.domains:
-            missing = m.domains[a] - m.domains[b]
-            if missing:
-                names = ", ".join(sorted(missing, key=_const_key))
-                out.append(f"monotonicity: edge ({a}, {b}) loses constants {names}")
+    # Domains as bitmasks over one index of the constants.
+    bit: dict[str, int] = {}
+    for dom in m.domains.values():
+        for c in dom:
+            if c not in bit:
+                bit[c] = 1 << len(bit)
+    consts = list(bit)
+    held = {w: sum(map(bit.__getitem__, dom)) for w, dom in m.domains.items()}
+    for a, b in edges:
+        if a in held and b in held and held[a] & ~held[b]:
+            names = ", ".join(sorted((consts[i] for i in _bits(held[a] & ~held[b])), key=_const_key))
+            out.append(f"monotonicity: edge ({a}, {b}) loses constants {names}")
     for (w, pred), tuples in sorted(m.interp.items()):
         if w not in wset:
             out.append(f"fact: unknown world {w} for predicate {pred}")
@@ -221,43 +237,76 @@ class ModelPool:
     further on, and up each d > 0 with those that have an edge to the
     position d back. present and absent hold, for each of consts in turn,
     the mask of the positions where it is in the domain and its
-    complement. Facts at worlds outside m.worlds are ignored.
+    complement. Facts at worlds outside m.worlds are ignored. A pool built
+    from tables makes its models, or one of them, only when asked.
     """
 
     def __init__(self, models: Iterable[KripkeModel]):
-        self.models = tuple(models)
-        self.offsets = [0]
-        self.const_masks: dict[str, int] = {}
-        self.fact_masks: dict[tuple[str, tuple[str, ...]], int] = {}
-        edges: dict[int, int] = {}
-        for m in self.models:
+        self._models: Optional[tuple[KripkeModel, ...]] = tuple(models)
+        self._build(map(_model_table, self._models))
+
+    @classmethod
+    def _of_tables(cls, tables: Iterable[tuple]) -> ModelPool:
+        """The pool of the models whose tables these are (see _model_table);
+        a model is made only when asked for."""
+        pool = cls.__new__(cls)
+        pool._models = None
+        pool._tables = list(tables)
+        pool._build(pool._tables)
+        return pool
+
+    @property
+    def models(self) -> tuple[KripkeModel, ...]:
+        """The pool's models, in pool order."""
+        if self._models is None:
+            self._models = tuple(map(_table_model, self._tables))
+        return self._models
+
+    def model(self, j: int) -> KripkeModel:
+        """The j-th model, made from its table if the pool has no models."""
+        return self._models[j] if self._models is not None else _table_model(self._tables[j])
+
+    def _build(self, tables: Iterable[tuple]) -> None:
+        offsets = [0]
+        const_masks: dict[str, int] = {}
+        fact_masks: dict[tuple, int] = {}
+        edge_masks: dict[int, int] = {}
+        o = 0
+        for worlds, rel, domains, facts, _ in tables:
             index: dict[int, int] = {}
-            for i, w in enumerate(m.worlds, self.offsets[-1]):
-                if w not in m.domains:
+            for i, w in enumerate(worlds, o):
+                dom = domains.get(w)
+                if dom is None:
                     raise EvalError(f"unknown world {w}")
                 index[w] = i
-                for c in m.domains[w]:
-                    self.const_masks[c] = self.const_masks.get(c, 0) | 1 << i
-            for a, b in m.rel:
-                for v in (a, b):
-                    if v not in index:
-                        raise EvalError(f"unknown world {v}")
-                i = index[a]
-                d = index[b] - i
-                edges[d] = edges.get(d, 0) | 1 << i
-            for (w, pred), tuples in m.interp.items():
+                bit = 1 << i
+                for c in dom:
+                    const_masks[c] = const_masks.get(c, 0) | bit
+            try:
+                for a, b in rel:
+                    i = index[a]
+                    d = index[b] - i
+                    edge_masks[d] = edge_masks.get(d, 0) | 1 << i
+            except KeyError as e:
+                raise EvalError(f"unknown world {e.args[0]}") from None
+            for (w, pred), tuples in filter(None, facts):
                 if w in index:
                     bit = 1 << index[w]
                     for args in tuples:
-                        key = (pred, args)
-                        self.fact_masks[key] = self.fact_masks.get(key, 0) | bit
-            self.offsets.append(self.offsets[-1] + len(m.worlds))
-        self.all_mask = (1 << self.offsets[-1]) - 1
-        self.consts = sorted(self.const_masks, key=_const_key)
-        self.present = [self.const_masks[c] for c in self.consts]
-        self.absent = [~mask for mask in self.present]
-        self.down = sorted((d, e) for d, e in edges.items() if d >= 0)
-        self.up = sorted((-d, e) for d, e in edges.items() if d < 0)
+                        key = pred, args
+                        fact_masks[key] = fact_masks.get(key, 0) | bit
+            o += len(worlds)
+            offsets.append(o)
+        self.offsets = offsets
+        self.const_masks = const_masks
+        self.fact_masks = fact_masks
+        self.all_mask = (1 << o) - 1
+        self.consts = sorted(const_masks, key=_const_key)
+        self.present = present = [const_masks[c] for c in self.consts]
+        self.absent = [~mask for mask in present]
+        edges = sorted(edge_masks.items())
+        self.down = [(d, e) for d, e in edges if d >= 0]
+        self.up = [(-d, e) for d, e in reversed(edges) if d < 0]
 
     def masks(self, sentences: Iterable[Formula]) -> list[int]:
         """One mask per sentence, of the worlds of the pool where it holds.
@@ -293,7 +342,7 @@ class ModelPool:
             j = self.first_failing(reduce(int.__and__, present, self.all_mask))
             if j is not None:
                 c, gone = next((c, part) for c, p in zip(names, present) if (part := self.split(~p)[j]))
-                w = self.models[j].worlds[next(_bits(gone))]
+                w = self.model(j).worlds[next(_bits(gone))]
                 raise EvalError(f"constant {c} is outside the domain of world {w}")
         return f
 
@@ -409,6 +458,23 @@ class ModelPool:
             weight = sum(n ** (len(spots) - 1 - j) for j, s in enumerate(spots) if s == p)
             index = [i + weight * c for i in index for c in range(n)]
         return [value[i] for i in index]
+
+
+# The table of a model, as the generators make it and ModelPool reads it:
+# (worlds, rel, domains, facts, sig), the fields of a KripkeModel except
+# that facts holds the items ((w, pred), tuples) of its interp, and may
+# hold None for none. The generators share rel and domains between the
+# models of a block.
+
+
+def _model_table(m: KripkeModel) -> tuple:
+    return m.worlds, m.rel, m.domains, m.interp.items(), m.sig
+
+
+def _table_model(table: tuple) -> KripkeModel:
+    """The model of a table, with fresh dicts."""
+    worlds, rel, domains, facts, sig = table
+    return KripkeModel(worlds, frozenset(rel), dict(domains), dict(filter(None, facts)), dict(sig))
 
 
 def _program(f: Formula) -> tuple[list[tuple], int]:
@@ -659,6 +725,10 @@ def _check_world_pairs(n: int) -> None:
 
 def random_model(spec: ModelGenSpec) -> KripkeModel:
     """Deterministic model for a given spec; the seed fixes everything."""
+    return _table_model(next(_random_tables(spec, (spec.seed,))))
+
+
+def _check_spec(spec: ModelGenSpec) -> None:
     _check_range("world_count", spec.world_count, 1)
     _check_range("domain_base_size", spec.domain_base_size, 1)
     _check_range("domain_growth", spec.domain_growth, 0)
@@ -668,55 +738,78 @@ def random_model(spec: ModelGenSpec) -> KripkeModel:
         raise GenError("truth_density must lie in [0, 1]")
     if not set(spec.require) <= _REQUIREMENTS:
         raise GenError(f"unknown requirement in {sorted(spec.require)}")
+    _check_arities(spec.signature)
 
-    rng = random.Random(spec.seed)
-    n = rng.randint(*spec.world_count)
-    _check_world_pairs(n)
-    worlds = tuple(range(n))
-    levels = [rng.randint(0, spec.height_bound) for _ in worlds]
-    rel = set()
-    for a in worlds:
-        for b in worlds:
-            if levels[a] > levels[b] and rng.random() < 0.5:
-                rel.add((a, b))
-    if "transitive" in spec.require:
-        # Edges lead from a higher level to a lower one, so in ascending
-        # level order the successors of a world are closed before it.
-        succ = [0] * n
+
+def _check_arities(sig: Mapping[str, int]) -> None:
+    if any(a < 0 for a in sig.values()):
+        raise GenError("predicate arities must be >= 0")
+
+
+def _random_tables(spec: ModelGenSpec, seeds: Iterable[int]) -> Iterator[tuple]:
+    """The tables of the models random_model makes for spec with each of
+    seeds in turn in place of its seed. The spec is checked before the
+    first draw. One Random, seeded again for each seed, gives the stream
+    of Random(seed)."""
+    sig = dict(spec.signature)
+    rng: Optional[random.Random] = None
+    constants: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}  # per domain size
+    for seed in seeds:
+        if rng is None:
+            _check_spec(spec)
+            rng = random.Random(seed)
+            randint, draw = rng.randint, rng.random
+            density = spec.truth_density
+            transitive = "transitive" in spec.require
+            preds = sorted(sig.items())
+            # Capping the arity keeps the verdict, since 2**64 is over
+            # budget already, and keeps the arithmetic small for absurd
+            # arities.
+            arities = [min(a, 64) for a in sig.values()]
+        else:
+            rng.seed(seed)
+        n = randint(*spec.world_count)
+        _check_world_pairs(n)
+        worlds = tuple(range(n))
+        levels = [randint(0, spec.height_bound) for _ in worlds]
+        rel = [(a, b) for a in worlds for b in worlds if levels[a] > levels[b] and draw() < 0.5]
+        if transitive:
+            # Edges lead from a higher level to a lower one, so in ascending
+            # level order the successors of a world are closed before it.
+            succ = [0] * n
+            for a, b in rel:
+                succ[a] |= 1 << b
+            for a in sorted(worlds, key=levels.__getitem__):
+                for b in _bits(succ[a]):
+                    succ[a] |= succ[b]
+            rel = [(a, b) for a in worlds for b in _bits(succ[a])]
+
+        preds_of: list[list[int]] = [[] for _ in worlds]
         for a, b in rel:
-            succ[a] |= 1 << b
-        for a in sorted(worlds, key=levels.__getitem__):
-            for b in _bits(succ[a]):
-                succ[a] |= succ[b]
-        rel = {(a, b) for a in worlds for b in _bits(succ[a])}
+            preds_of[b].append(a)
+        sizes = [0] * n
+        # From the highest level down, and by id within a level: edges lead
+        # to lower levels, so every predecessor has its size.
+        for w in sorted(worlds, key=levels.__getitem__, reverse=True):
+            size = randint(*spec.domain_base_size)
+            if preds_of[w]:
+                size = max(size, *map(sizes.__getitem__, preds_of[w])) + randint(*spec.domain_growth)
+            sizes[w] = size
+        if sum(size**a for size in sizes for a in arities) > _BUDGET:
+            raise BoundExplosionError("predicate tuples to draw exceed 10^7")
+        for size in set(sizes) - constants.keys():
+            names = tuple(f"c{i}" for i in range(size))
+            constants[size] = names, frozenset(names)
+        domains = {w: constants[sizes[w]][1] for w in worlds}
 
-    preds: list[list[int]] = [[] for _ in worlds]
-    for a, b in rel:
-        preds[b].append(a)
-    sizes: dict[int, int] = {}
-    for w in sorted(worlds, key=lambda w: (-levels[w], w)):
-        base = rng.randint(*spec.domain_base_size)
-        # Edges lead to lower levels, so every predecessor has its size.
-        inbound = [sizes[v] for v in preds[w]]
-        growth = rng.randint(*spec.domain_growth) if inbound else 0
-        sizes[w] = max([base] + inbound) + growth
-    # Capping the arity keeps the verdict, since 2**64 is over budget
-    # already, and keeps the arithmetic small for absurd arities.
-    arities = [min(a, 64) for a in spec.signature.values()]
-    drawn = sum(size**a for size in sizes.values() for a in arities)
-    if drawn > _BUDGET:
-        raise BoundExplosionError("predicate tuples to draw exceed 10^7")
-    domains = {w: frozenset(f"c{i}" for i in range(sizes[w])) for w in worlds}
-
-    interp: dict[tuple[int, str], frozenset[tuple[str, ...]]] = {}
-    for w in worlds:
-        dom = sorted(domains[w], key=_const_key)
-        for pred in sorted(spec.signature):
-            arity = spec.signature[pred]
-            tuples = [t for t in product(dom, repeat=arity) if rng.random() < spec.truth_density]
-            if tuples:
-                interp[(w, pred)] = frozenset(tuples)
-    return KripkeModel(worlds, frozenset(rel), domains, interp, dict(spec.signature))
+        interp: dict[tuple[int, str], frozenset[tuple[str, ...]]] = {}
+        for w in worlds:
+            names = constants[sizes[w]][0]
+            for pred, arity in preds:
+                tuples = [t for t in product(names, repeat=arity) if draw() < density]
+                if tuples:
+                    interp[(w, pred)] = frozenset(tuples)
+        yield worlds, rel, domains, interp.items(), sig
 
 
 def enumerate_models(
@@ -733,20 +826,37 @@ def enumerate_models(
     additionally keeps only acyclic frames of at most that height. The
     estimated number of candidates must stay at or below 10**7.
     """
+    return map(_table_model, _enumerated_tables(max_worlds, max_domain, sig, require, max_height))
+
+
+def _enumerated_tables(
+    max_worlds: int,
+    max_domain: int,
+    sig: Mapping[str, int],
+    require: Iterable[str] = (),
+    max_height: Optional[int] = None,
+) -> Iterator[tuple]:
+    """The tables of the models of enumerate_models with these arguments,
+    in turn. Those of one frame and choice of domains share rel and
+    domains."""
     require = frozenset(require)
     if not require <= _REQUIREMENTS:
         raise GenError(f"unknown requirement in {sorted(require)}")
     if max_worlds < 1 or max_domain < 1:
         raise GenError("bounds must be at least 1")
+    _check_arities(sig)
 
     if any(2 ** (k * k) > _BUDGET for k in range(1, max_worlds + 1)):
         raise BoundExplosionError("relation candidates alone exceed 10^7")
+    # Capping the domain size and the exponents keeps every verdict, since
+    # 2**64 is over the budget already, and keeps the arithmetic small.
+    size = min(max_domain, 64)
+    per_world_interp = 2 ** min(sum(size ** min(a, 64) for a in sig.values()), 64)
     frames = []
     estimate = 0
     for k in range(1, max_worlds + 1):
         frames.append(_candidate_rels(k, require, max_height))
-        per_world_interp = 2 ** sum(max_domain ** a for a in sig.values())
-        estimate += len(frames[-1]) * (2**max_domain - 1) ** k * per_world_interp**k
+        estimate += len(frames[-1]) * (2**size - 1) ** k * per_world_interp**k
         if estimate > _BUDGET:
             raise BoundExplosionError(f"estimated model count exceeds 10^7 at {k} worlds")
     if not estimate:
@@ -754,26 +864,28 @@ def enumerate_models(
 
     subsets = [frozenset(f"c{i}" for i in range(max_domain) if bits >> i & 1) for bits in range(1, 1 << max_domain)]
     subsets.sort(key=lambda s: (len(s), sorted(s)))
-    preds = sorted(sig)
-    # Per domain and predicate, every set of facts, in the order of a
-    # binary count over its tuples.
-    options = {}
+    sig = dict(sig)
+    # Per world, domain and predicate, every set of facts, in the order of
+    # a binary count over its tuples, as an item ((w, pred), facts) of the
+    # interp, or None for no facts.
+    options: dict[tuple[int, frozenset[str]], list[list]] = {
+        (w, dom): [] for w in range(max_worlds) for dom in subsets
+    }
     for dom in subsets:
-        options[dom] = []
-        for pred in preds:
+        for pred in sorted(sig):
             tuples = list(product(sorted(dom, key=_const_key), repeat=sig[pred]))
-            options[dom].append([frozenset(t for i, t in enumerate(tuples) if bits >> i & 1)
-                                 for bits in range(1 << len(tuples))])
+            sets = [frozenset(t for i, t in enumerate(tuples) if bits >> i & 1) for bits in range(1, 1 << len(tuples))]
+            for w in range(max_worlds):
+                options[w, dom].append([None] + [((w, pred), facts) for facts in sets])
     for k, rels in enumerate(frames, 1):
         worlds = tuple(range(k))
-        slots = [(w, pred) for w in worlds for pred in preds]
         for rel in rels:
             for combo in product(subsets, repeat=k):
                 if any(not combo[a] <= combo[b] for a, b in rel):
                     continue
-                for choices in product(*[opts for dom in combo for opts in options[dom]]):
-                    interp = {slot: chosen for slot, chosen in zip(slots, choices) if chosen}
-                    yield KripkeModel(worlds, rel, dict(zip(worlds, combo)), interp, dict(sig))
+                domains = dict(zip(worlds, combo))
+                for chosen in product(*[o for w in worlds for o in options[w, combo[w]]]):
+                    yield worlds, rel, domains, chosen, sig
 
 
 def _candidate_rels(k: int, require: frozenset[str], max_height: Optional[int]) -> list[frozenset[tuple[int, int]]]:

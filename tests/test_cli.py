@@ -356,9 +356,9 @@ def test_first_invalid_lets_earlier_models_decide():
         yield from models
         raise GenError("no more models")
 
-    assert cli._first_invalid(then_raise([holds, fails]), sentence) == (1, fails)
+    assert cli._first_invalid(then_raise(map(kripke._model_table, [holds, fails])), sentence) == (1, fails)
     with pytest.raises(GenError):
-        cli._first_invalid(then_raise([holds, holds]), sentence)
+        cli._first_invalid(then_raise(map(kripke._model_table, [holds, holds])), sentence)
 
 
 def test_an_argparse_error_leaves_the_cached_parser_unchanged(capsys):

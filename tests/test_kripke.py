@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -450,6 +451,8 @@ def test_random_model_rejects_bad_spec():
     # Over the budget in world pairs: raised before any level is drawn.
     with pytest.raises(BoundExplosionError, match="world pairs"):
         random_model(spec(world_count=(4000, 4000)))
+    with pytest.raises(GenError, match="^predicate arities must be >= 0$"):
+        random_model(spec(signature={"P": 1, "Q": -1}))
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +508,19 @@ def test_enumerate_bound_explosion():
         list(enumerate_models(6, 2, {"P": 2}))
     with pytest.raises(GenError):
         list(enumerate_models(0, 1, {}))
+    with pytest.raises(GenError, match="^predicate arities must be >= 0$"):
+        next(enumerate_models(1, 1, {"P": -1}))
+    # The estimate caps its exponents; uncapped, these would build ints of
+    # about 2**(2**64) bits before comparing them with the budget.
+    for args in [(1, 2, {"P": 64}), (1, 64, {"P": 1}), (2, 64, {"P": 64}), (1, 2, {"P": 10**9})]:
+        with pytest.raises(BoundExplosionError, match="^estimated model count exceeds 10\\^7 at 1 worlds$"):
+            next(enumerate_models(*args))
 
 
 _FI = ("transitive", "irreflexive")
 
 
-@pytest.mark.parametrize("args, kw, count, pinned", [
+_PINNED_ENUMERATIONS = [
     ((3, 2, {"P": 1}), {"max_height": 0}, 584, "9b53b39b653cace9f0e9aedb90e15694"),
     ((3, 2, {"P": 1}), {"max_height": 1}, 4024, "71d4d12e065762a74160425895ccf177"),
     ((3, 2, {"P": 1}), {"max_height": 2}, 6136, "30d6cdbde58dd489df2cdbe897329dd6"),
@@ -520,7 +530,11 @@ _FI = ("transitive", "irreflexive")
     ((2, 1, {"P": 1, "Q": 1, "R": 0}), {"require": ("transitive",)}, 848, "6234c11b514129d4854258e977deece6"),
     ((3, 1, {"P": 1, "Q": 1}), {"max_height": 2}, 1652, "2bdac6b4042d46dc643611c7c19a0e19"),
     ((2, 2, {"S": 2}), {"max_height": 1}, 1076, "c313b26e7c4e4d135848ac5497f4ad65"),
-], ids=["P-h0", "P-h1", "P-h2", "P-h3", "P-irreflexive", "R0-FI", "PQR0-transitive", "PQ-h2", "S2-h1"])
+]
+_PINNED_IDS = ["P-h0", "P-h1", "P-h2", "P-h3", "P-irreflexive", "R0-FI", "PQR0-transitive", "PQ-h2", "S2-h1"]
+
+
+@pytest.mark.parametrize("args, kw, count, pinned", _PINNED_ENUMERATIONS, ids=_PINNED_IDS)
 def test_enumeration_stream_is_pinned(args, kw, count, pinned):
     # The digest of each model in turn, with the key order of its domains
     # and facts, as enumerated when frames were built from sets of pairs.
@@ -531,6 +545,61 @@ def test_enumeration_stream_is_pinned(args, kw, count, pinned):
         digest.update(repr((list(m.domains), list(m.interp), m.sig)).encode())
         n += 1
     assert (n, digest.hexdigest()) == (count, pinned)
+
+
+def _shape(m: KripkeModel) -> tuple:
+    return format_model(m), list(m.domains), list(m.interp), m.sig
+
+
+def _assert_same_pool(fed: ModelPool, models: list[KripkeModel]) -> None:
+    """fed, a pool built from tables, has the tables of ModelPool(models),
+    makes no model until asked, and then makes the generator's models."""
+    built = ModelPool(models)
+    fields = ("offsets", "const_masks", "fact_masks", "down", "up", "consts", "present", "absent", "all_mask")
+    assert [getattr(fed, f) for f in fields] == [getattr(built, f) for f in fields]
+    assert fed._models is None
+    if models:
+        assert _shape(fed.model(len(models) - 1)) == _shape(models[-1])
+    assert fed.models == tuple(models)
+    assert [_shape(m) for m in fed.models] == [_shape(m) for m in models]
+
+
+@pytest.mark.parametrize("args, kw", [(a, kw) for a, kw, _, _ in _PINNED_ENUMERATIONS], ids=_PINNED_IDS)
+def test_enumerated_tables_feed_the_pool_of_the_models(args, kw):
+    fed = ModelPool._of_tables(kripke._enumerated_tables(*args, **kw))
+    _assert_same_pool(fed, list(enumerate_models(*args, **kw)))
+
+
+def test_random_tables_feed_the_pool_of_the_models():
+    specs = list(_pinned_specs())
+    fed = ModelPool._of_tables(t for s in specs for t in kripke._random_tables(s, [s.seed]))
+    _assert_same_pool(fed, [random_model(s) for s in specs])
+    # One Random seeded again for each seed gives the models of Random(seed).
+    for s in specs[::25]:
+        seeds = range(s.seed, s.seed + 12)
+        fed = ModelPool._of_tables(kripke._random_tables(s, seeds))
+        _assert_same_pool(fed, [random_model(dataclasses.replace(s, seed=x)) for x in seeds])
+
+
+def test_capped_estimate_keeps_every_verdict():
+    # The uncapped estimate, computed here on inputs whose exponents are at
+    # most 10^5, so that its ints take kilobytes.
+    frames = {k: len(kripke._candidate_rels(k, frozenset(), None)) for k in (1, 2, 3)}
+    for max_worlds, max_domain, arities in product((1, 2, 3), (1, 2, 3, 5, 8, 24, 30), [(), (0,), (1,), (2,), (1, 2), (2, 3)]):
+        sig = {f"P{i}": a for i, a in enumerate(arities)}
+        estimate, over = 0, None
+        for k in range(1, max_worlds + 1):
+            exponent = k * sum(max_domain**a for a in arities)
+            assert exponent <= 10**5
+            estimate += frames[k] * (2**max_domain - 1) ** k * 2**exponent
+            if estimate > 10**7:
+                over = k
+                break
+        if over is None:
+            assert next(enumerate_models(max_worlds, max_domain, sig)).worlds == (0,)
+        else:
+            with pytest.raises(BoundExplosionError, match=f" at {over} worlds$"):
+                next(enumerate_models(max_worlds, max_domain, sig))
 
 
 # ---------------------------------------------------------------------------

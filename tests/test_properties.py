@@ -12,7 +12,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from modalfix import cli
+from modalfix import cli, kripke
 from modalfix.countermodel import chain_model, eval_infinite_chain
 from modalfix.fixpoint import boolean_sigma_fixpoint
 from modalfix.kripke import (
@@ -434,6 +434,65 @@ def test_random_models_validate(seed: int):
         )
     )
     assert validate_model(m) == []
+
+
+def _ranges(low: int, high: int) -> st.SearchStrategy[tuple[int, int]]:
+    return st.lists(st.integers(low, high), min_size=2, max_size=2).map(lambda r: tuple(sorted(r)))
+
+
+@st.composite
+def model_specs(draw) -> ModelGenSpec:
+    """Specs for random_model: valid ones, some over the tuple budget
+    through arities 30 and 65, and ones with a field made invalid (an
+    empty or negative range, a density outside [0, 1], an unknown
+    requirement, a negative arity) or over the world pair budget."""
+    signature = draw(st.dictionaries(st.sampled_from("PQRS"), st.sampled_from([0, 1, 1, 2, 3, 30, 65]), max_size=3))
+    fields = {
+        "world_count": draw(_ranges(1, 6)),
+        "height_bound": draw(st.integers(0, 4)),
+        "signature": signature,
+        "domain_base_size": draw(_ranges(1, 3)),
+        "domain_growth": draw(_ranges(0, 2)),
+        "truth_density": draw(st.sampled_from([0.0, 0.3, 1.0])),
+        "require": draw(st.frozensets(st.sampled_from(["transitive", "irreflexive"]))),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    broken = draw(st.sampled_from([None] * 6 + [
+        ("world_count", (3, 2)), ("world_count", (0, 2)), ("world_count", (4000, 4000)),
+        ("height_bound", -1), ("domain_base_size", (0, 1)), ("domain_growth", (-1, 0)),
+        ("truth_density", 1.5), ("require", frozenset({"serial"})), ("signature", {**signature, "N": -1}),
+    ]))
+    if broken:
+        fields[broken[0]] = broken[1]
+    return ModelGenSpec(**fields)
+
+
+def _made(m: KripkeModel) -> tuple:
+    return format_model(m), list(m.domains), list(m.interp), m.sig
+
+
+@given(model_specs(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_random_specs_give_a_valid_model_or_one_logic_error(spec: ModelGenSpec, count: int):
+    # random_model on each seed in turn, up to its first error, against the
+    # stream of tables for the same seeds, which ends at its first error.
+    seeds = range(spec.seed, spec.seed + count)
+    want = []
+    for seed in seeds:
+        try:
+            m = random_model(dataclasses.replace(spec, seed=seed))
+        except LogicError as e:
+            want.append((type(e), str(e)))
+            break
+        assert validate_model(m) == []
+        want.append(_made(m))
+    got = []
+    try:
+        for table in kripke._random_tables(spec, seeds):
+            got.append(_made(kripke._table_model(table)))
+    except LogicError as e:
+        got.append((type(e), str(e)))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
