@@ -50,6 +50,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .syntax import (
@@ -723,6 +724,20 @@ def _check_world_pairs(n: int) -> None:
         raise BoundExplosionError("world pairs to draw exceed 10^7")
 
 
+def _names(size: int, arities: Iterable[int]) -> int:
+    """The domain constants and predicate tuple elements of a world with a
+    domain of this size, a nullary tuple counted as one element."""
+    # Capping the exponent keeps every verdict, since 2**64 is over budget
+    # already, and keeps the arithmetic small for absurd arities.
+    return size + sum(max(a, 1) * size ** min(a, 64) for a in arities)
+
+
+def _check_names(names: int) -> None:
+    # Both generators check this before they build any domain or tuple.
+    if names > _BUDGET:
+        raise BoundExplosionError("domain constants and predicate tuple elements exceed 10^7")
+
+
 def random_model(spec: ModelGenSpec) -> KripkeModel:
     """Deterministic model for a given spec; the seed fixes everything."""
     return _table_model(next(_random_tables(spec, (spec.seed,))))
@@ -754,6 +769,7 @@ def _random_tables(spec: ModelGenSpec, seeds: Iterable[int]) -> Iterator[tuple]:
     sig = dict(spec.signature)
     rng: Optional[random.Random] = None
     constants: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}  # per domain size
+    counts: dict[int, int] = {}  # per domain size: its _names
     for seed in seeds:
         if rng is None:
             _check_spec(spec)
@@ -762,10 +778,6 @@ def _random_tables(spec: ModelGenSpec, seeds: Iterable[int]) -> Iterator[tuple]:
             density = spec.truth_density
             transitive = "transitive" in spec.require
             preds = sorted(sig.items())
-            # Capping the arity keeps the verdict, since 2**64 is over
-            # budget already, and keeps the arithmetic small for absurd
-            # arities.
-            arities = [min(a, 64) for a in sig.values()]
         else:
             rng.seed(seed)
         n = randint(*spec.world_count)
@@ -795,8 +807,9 @@ def _random_tables(spec: ModelGenSpec, seeds: Iterable[int]) -> Iterator[tuple]:
             if preds_of[w]:
                 size = max(size, *map(sizes.__getitem__, preds_of[w])) + randint(*spec.domain_growth)
             sizes[w] = size
-        if sum(size**a for size in sizes for a in arities) > _BUDGET:
-            raise BoundExplosionError("predicate tuples to draw exceed 10^7")
+        for size in set(sizes) - counts.keys():
+            counts[size] = _names(size, sig.values())
+        _check_names(sum(map(counts.__getitem__, sizes)))
         for size in set(sizes) - constants.keys():
             names = tuple(f"c{i}" for i in range(size))
             constants[size] = names, frozenset(names)
@@ -861,6 +874,9 @@ def _enumerated_tables(
             raise BoundExplosionError(f"estimated model count exceeds 10^7 at {k} worlds")
     if not estimate:
         return  # no frame passes, so no fact options are needed
+    # The fact options below are built once per domain: every nonempty
+    # subset of the constants.
+    _check_names(sum(comb(max_domain, j) * _names(j, sig.values()) for j in range(1, max_domain + 1)))
 
     subsets = [frozenset(f"c{i}" for i in range(max_domain) if bits >> i & 1) for bits in range(1, 1 << max_domain)]
     subsets.sort(key=lambda s: (len(s), sorted(s)))

@@ -18,7 +18,11 @@ pair once on an explicit stack, so only the parser and the printer
 recurse, and both raise TooDeepError when they run out of depth.
 format_formula prints each node once per required precedence within a
 call, and raises OutputTooLargeError before building a text longer than
-_BUDGET characters.
+_BUDGET characters. parse takes the text in windows of tokens and parses
+a repeated parenthesized group once: a group whose text repeats that of
+one parsed before in the same call is jumped past and gets that group's
+node. So the printed stages, which repeat the same groups over and over,
+parse in time near their DAG size rather than their length.
 
 Domain constants (Const) never come from the surface grammar. They are
 injected by the model checking code, which instantiates quantifiers
@@ -31,8 +35,8 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import count
-from operator import is_not
+from itertools import accumulate, compress, count
+from operator import add, is_not
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 
@@ -408,57 +412,146 @@ _KEYWORDS = frozenset({"true", "false", "box", "dia", "forall", "exists"})
 # Whitespace separates tokens and matches none.
 _TOKEN_RE = re.compile(r"<->|->|[()&|~.,#]|[A-Z][A-Za-z0-9_]*|[a-z][a-z0-9_]*")
 
+# Splits a text into the text between tokens, at the even indices, and the
+# tokens.
+_SPLIT_RE = re.compile(f"({_TOKEN_RE.pattern})")
+
 # Binding strength of the binary connectives; only -> groups to the right.
 _BINARY = {"<->": 0, "->": 1, "|": 2, "&": 3}
 
+# The characters a window of the text spans at least: it ends at the first
+# "(" after them, as a group may repeat there and the parse jump past it.
+_WINDOW = 256
+
+# Characters of a group's text, from its "(", that key it with the offset
+# of its first ")".
+_KEY_CHARS = 32
+
+# Groups of fewer tokens are not recorded: parsing one again costs about
+# what a lookup does.
+_KEY_TOKENS = 24
+
+# A window of the text: its tokens, offset and end, and the offsets of its
+# "(" and ")" tokens under their indices, once needed.
+_Window = tuple[list[str], int, int, dict[str, dict[int, int]]]
+
+# Marks a key under which groups of more than one text were recorded.
+_SHARED = (0, 0, TRUE)
+
+
+def _key(text: str, at: int) -> tuple[int, int]:
+    """The key of the group opened at offset at: the offset of the first
+    ")" from there, and the hash of _KEY_CHARS characters from there."""
+    return text.find(")", at) - at, hash(text[at:at + _KEY_CHARS])
+
+
+def _close(text: str, at: int) -> int:
+    """The offset past the ")" that closes the "(" at offset at, or -1."""
+    depth, i = 0, at
+    while True:
+        j = text.find(")", i)
+        if j < 0:
+            return -1
+        depth += text.count("(", i, j) - 1
+        if not depth:
+            return j + 1
+        i = j + 1
+
 
 class _Parser:
-    """One parse: the tokens, ending in "", the position in them, the arities
-    seen, and the nodes built, under their class and child ids or names."""
+    """One parse: the text; the window of it being parsed, its tokens
+    apart, the index of the current one and that of the window's last "("
+    (-1 if no group ending in the window is recorded); the arities seen;
+    and the groups recorded, under their keys or, where a key is shared,
+    under the length and hash of their text."""
 
     def __init__(self, text: str, sig: Optional[Mapping[str, int]]):
         self.text = text
-        self.tokens = _TOKEN_RE.findall(text)
-        # The tokens hold every character but whitespace, or some other
-        # character is the first one left when they are blanked out.
-        if len("".join(self.tokens)) != len("".join(text.split())):
-            rest = _TOKEN_RE.sub(lambda m: " " * len(m[0]), text)
-            at = len(rest) - len(rest.lstrip())
-            raise ParseError(f"unexpected character {text[at]!r}", at)
-        self.tokens.append("")
-        self.pos = 0
         self.strict = sig is not None
         self.arities: dict[str, int] = dict(sig) if sig else {}
-        self.shared: dict[tuple, Formula] = {}
+        self.groups: dict[tuple[int, int], tuple[int, int, Formula]] = {}
+        self.texts: dict[tuple[int, int], tuple[int, int, Formula]] = {}
+        self.seek(0, _WINDOW)
+
+    def seek(self, at: int, span: int) -> None:
+        """Parse on from the character offset at, through the first "("
+        at least span characters on, or to the end."""
+        text = self.text
+        end = len(text)
+        if at + span < end:
+            end = text.find("(", at + span) + 1 or end
+        window = text[at:end]
+        toks = _TOKEN_RE.findall(window)
+        # The tokens hold every character but whitespace (most often only
+        # spaces), or some other character is left between them.
+        rest = len(window) - len("".join(toks))
+        if rest != window.count(" ") and rest != len(window) - len("".join(window.split())):
+            raise self.stray()
+        if end < len(text):
+            last_open = len(toks) - 1
+        else:
+            # The empty token ends the text. In a window of few tokens no
+            # group ending there is recorded.
+            toks.append("")
+            last_open = -1
+            if len(toks) > _KEY_TOKENS and "(" in toks:
+                last_open = len(toks) - 1 - toks[::-1].index("(")
+        self.toks, self.i, self.last_open, self.window = toks, 0, last_open, (toks, at, end, {})
+
+    def offset(self, window: _Window, i: int) -> int:
+        """The character offset of token i of a window."""
+        toks, start, end, parens = window
+        tok = toks[i]
+        if tok != "(" and tok != ")":
+            return start + sum(map(len, _SPLIT_RE.split(self.text[start:end])[:2 * i + 1]))
+        if tok not in parens:
+            # The n-th such token is the n-th such character: the text
+            # before it is n + 1 pieces of the window split at them, and n
+            # of them.
+            pieces = accumulate(map(len, self.text[start:end].split(tok)))
+            parens[tok] = dict(zip(compress(count(), map(tok.__eq__, toks)), map(add, pieces, count(start))))
+        return parens[tok][i]
+
+    def stray(self) -> Optional[ParseError]:
+        """The error at the first stray character of the text, if any: the
+        first character left when the tokens are blanked out."""
+        rest = _TOKEN_RE.sub(lambda m: " " * len(m[0]), self.text).lstrip()
+        if not rest:
+            return None
+        at = len(self.text) - len(rest)
+        return ParseError(f"unexpected character {self.text[at]!r}", at)
 
     def error(self, message: str, at: int, cls: type = ParseError) -> ParseError:
-        """The error at the at-th token; the end of the input is len(text)."""
-        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
-        return cls(message, (starts + [len(self.text)])[at])
-
-    def node(self, cls: type, a: Formula, b: Optional[Formula] = None) -> Formula:
-        """cls(a) or cls(a, b). A hit here, common in printed stages, skips a constructor call."""
-        key = (cls, id(a), id(b))
-        f = self.shared.get(key)
-        if f is None:
-            f = self.shared[key] = cls(a) if b is None else cls(a, b)
-        return f
+        """The error at character offset at; a stray character anywhere in
+        the text comes first."""
+        return self.stray() or cls(message, at)
 
     def expr(self, least: int) -> Formula:
         """The formula from here up to the first binary connective that
         binds less tightly than least: at 0 all of a parenthesis, at 4
         one unary formula."""
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        self.i = i + 1
         if tok == "(":
-            f = self.expr(0)
-            self.expect(")")
+            window = self.window
+            f = self.groups and self.repeat(self.offset(window, i))
+            if not f:
+                if i + 1 == len(toks):
+                    self.seek(window[2], _WINDOW)
+                f = self.expr(0)
+                close = self.i
+                if self.toks[close] != ")":
+                    raise self.error(f"expected ')', found {self.toks[close]!r}", self.offset(self.window, close))
+                self.i = close + 1
+                if close < self.last_open and (toks is not self.toks or close - i >= _KEY_TOKENS):
+                    self.record(self.offset(window, i), self.offset(self.window, close) + 1, f)
         elif tok == "~":
-            f = self.node(Not, self.expr(4))
+            f = Not(self.expr(4))
         elif tok == "box":
-            f = self.node(Box, self.expr(4))
+            f = Box(self.expr(4))
         elif tok == "dia":
-            f = self.node(Not, self.node(Box, self.node(Not, self.expr(4))))
+            f = Not(Box(Not(self.expr(4))))
         elif tok == "#":
             f = PropVar(self.variable("propositional variable name"))
         elif tok == "forall" or tok == "exists":
@@ -472,52 +565,83 @@ class _Parser:
         elif tok[:1].isupper():
             f = self.atom(tok)
         else:
-            raise self.error(f"expected formula, found {tok!r}", self.pos - 1)
+            raise self.error(f"expected formula, found {tok!r}", self.offset(self.window, i))
         while True:
-            op = self.tokens[self.pos]
+            op = self.toks[self.i]
             prec = _BINARY.get(op, -1)
             if prec < least:
                 return f
-            self.pos += 1
+            self.i += 1
             g = self.expr(prec + (op != "->"))
             if op == "<->":
-                f = self.node(And, self.node(Implies, f, g), self.node(Implies, g, f))
+                f = And(Implies(f, g), Implies(g, f))
             else:
-                f = self.node(Implies if op == "->" else Or if op == "|" else And, f, g)
+                f = (Implies if op == "->" else Or if op == "|" else And)(f, g)
+
+    def repeat(self, at: int) -> Optional[Formula]:
+        """The formula of the group parsed before whose text the group
+        opened at offset at repeats, if there is one; the parse then goes
+        on past the repeat."""
+        text = self.text
+        known = self.groups.get(_key(text, at))
+        if known is _SHARED:
+            end = _close(text, at)
+            known = end > at and self.texts.get((end - at, hash(text[at:end])))
+        if known:
+            start, end, f = known
+            if text.startswith(text[start:end], at):
+                # Text that follows a repeat tends to repeat too: parse on
+                # only to the next group.
+                self.seek(at + end - start, 0)
+                return f
+        return None
+
+    def record(self, at: int, end: int, f: Formula) -> None:
+        """Record the group from offset at to end, with formula f."""
+        text, group = self.text, (at, end, f)
+        key = _key(text, at)
+        known = self.groups.setdefault(key, group)
+        if known is not group:
+            # Two texts under one key: look both up by their whole text.
+            if known is not _SHARED:
+                start, stop = known[0], known[1]
+                self.texts[stop - start, hash(text[start:stop])] = known
+                self.groups[key] = _SHARED
+            self.texts.setdefault((end - at, hash(text[at:end])), group)
 
     def expect(self, tok: str) -> None:
-        if self.tokens[self.pos] != tok:
-            raise self.error(f"expected {tok!r}, found {self.tokens[self.pos]!r}", self.pos)
-        self.pos += 1
+        if self.toks[self.i] != tok:
+            raise self.error(f"expected {tok!r}, found {self.toks[self.i]!r}", self.offset(self.window, self.i))
+        self.i += 1
 
     def variable(self, what: str) -> str:
-        tok = self.tokens[self.pos]
+        tok = self.toks[self.i]
         if not tok.islower() or tok in _KEYWORDS:
-            raise self.error(f"expected {what}, found {tok!r}", self.pos)
-        self.pos += 1
+            raise self.error(f"expected {what}, found {tok!r}", self.offset(self.window, self.i))
+        self.i += 1
         return tok
 
     def atom(self, pred: str) -> Formula:
-        at = self.pos - 1
+        at, window = self.i - 1, self.window
         names = []
-        if self.tokens[self.pos] == "(":
-            self.pos += 1
+        if self.toks[self.i] == "(":
+            self.i += 1
+            if self.i == len(self.toks):
+                self.seek(window[2], _WINDOW)
             names.append(self.variable("variable"))
-            while self.tokens[self.pos] == ",":
-                self.pos += 1
+            while self.toks[self.i] == ",":
+                self.i += 1
                 names.append(self.variable("variable"))
             self.expect(")")
         arity, known = len(names), self.arities.get(pred)
         if known is None:
             if self.strict:
-                raise self.error(f"unknown predicate {pred}", at, UnknownPredicateError)
+                raise self.error(f"unknown predicate {pred}", self.offset(window, at), UnknownPredicateError)
             self.arities[pred] = arity
         elif known != arity:
             message = f"predicate {pred} used with arity {arity}, expected {known}"
-            raise self.error(message, at, ArityMismatchError)
-        # Looked up here first, as in node, and without building the Vars.
-        key = (Atom, pred, *names)
-        return self.shared.get(key) or self.shared.setdefault(key, Atom(pred, tuple(map(Var, names))))
+            raise self.error(message, self.offset(window, at), ArityMismatchError)
+        return Atom(pred, tuple(map(Var, names)))
 
 
 def parse(text: str, sig: Optional[Mapping[str, int]] = None) -> Formula:
@@ -530,9 +654,10 @@ def parse(text: str, sig: Optional[Mapping[str, int]] = None) -> Formula:
     try:
         f = p.expr(0)
     except RecursionError:
-        raise TooDeepError("formula nests too deeply to parse") from None
-    if p.tokens[p.pos]:
-        raise p.error(f"unexpected trailing input {p.tokens[p.pos]!r}", p.pos)
+        raise p.stray() or TooDeepError("formula nests too deeply to parse") from None
+    tok = p.toks[p.i]
+    if tok:
+        raise p.error(f"unexpected trailing input {tok!r}", p.offset(p.window, p.i))
     return f
 
 

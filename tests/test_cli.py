@@ -209,6 +209,17 @@ def test_mk_over_the_world_pair_budget_is_one_error_line(capsys):
     assert err.startswith("error: bound-explosion: ") and err.count("\n") == 1
 
 
+def test_gen_model_over_the_name_budget_is_one_error_line(monkeypatch, capsys):
+    # Three worlds of 400 constants are 1200 names, over a budget of 1000,
+    # as three of 10^7 are over 10^7; nothing is printed.
+    monkeypatch.setattr(kripke, "_BUDGET", 1000)
+    out = io.StringIO()
+    code = cli.main(["gen-model", "--domain-base", "400", "--worlds", "3"], out)
+    err = capsys.readouterr().err
+    assert (code, out.getvalue()) == (1, "")
+    assert err == "error: bound-explosion: domain constants and predicate tuple elements exceed 10^7\n"
+
+
 def test_refute_reports_the_budget_at_the_first_chain_over_it(monkeypatch, capsys):
     # With a budget of 8 world pairs the chain with k = 2 is over it, and
     # box false satisfies the equation on the chains before it.

@@ -455,6 +455,31 @@ def test_random_model_rejects_bad_spec():
         random_model(spec(signature={"P": 1, "Q": -1}))
 
 
+def test_domain_constants_and_tuple_elements_share_the_budget(monkeypatch):
+    # Both generators count the names of their domains and the elements of
+    # their tuples, a nullary tuple as one, against one budget: one
+    # constant with a long arity and large domains with no predicates are
+    # over it as surely as many tuples are.
+    monkeypatch.setattr(kripke, "_BUDGET", 1000)
+    over = "^domain constants and predicate tuple elements exceed"
+    one = dict(world_count=(1, 1), height_bound=0, domain_base_size=(1, 1))
+    assert random_model(spec(**one, signature={"P": 999})).interp.keys() <= {(0, "P")}
+    with pytest.raises(BoundExplosionError, match=over):
+        random_model(spec(**one, signature={"P": 1000}))
+    three = dict(world_count=(3, 3), height_bound=0, signature={})
+    assert len(random_model(spec(**three, domain_base_size=(333, 333))).domains[2]) == 333
+    with pytest.raises(BoundExplosionError, match=over):
+        random_model(spec(**three, domain_base_size=(334, 334)))
+    assert next(enumerate_models(1, 1, {"P": 999})).sig == {"P": 999}
+    with pytest.raises(BoundExplosionError, match=over):
+        next(enumerate_models(1, 1, {"P": 1000}))
+    # Enumeration builds its fact options once per nonempty subset of the
+    # constants: 7 * 2^6 names for 7 of them, 8 * 2^7 for 8.
+    assert len(next(enumerate_models(1, 7, {}, require={"irreflexive"})).domains[0]) == 1
+    with pytest.raises(BoundExplosionError, match=over):
+        next(enumerate_models(1, 8, {}, require={"irreflexive"}))
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 

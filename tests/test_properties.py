@@ -6,11 +6,12 @@ import dataclasses
 import hashlib
 import io
 import random
+import re
 import tempfile
 from itertools import product
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from modalfix import cli, kripke
 from modalfix.countermodel import chain_model, eval_infinite_chain
@@ -112,6 +113,36 @@ closed_box_free = formulas(
 def test_parse_print_round_trip(f: Formula):
     # Nodes are interned, so the text of a live formula parses back to it.
     assert parse(format_formula(f)) is f
+
+
+@given(formulas())
+def test_a_repeated_group_parses_to_one_node(f: Formula):
+    # A group of enough tokens is recorded, and its second copy is taken
+    # from it without being parsed again.
+    text = format_formula(f)
+    assume("(" in text)
+    group = f"({text})"
+    assert parse(f"{group} & {group}") is And(f, f)
+
+
+# The tokens, as a stray character is defined by: whitespace separates
+# them, and any other character that no token takes is stray.
+TOKEN = re.compile(r"<->|->|[()&|~.,#]|[A-Z][A-Za-z0-9_]*|[a-z][a-z0-9_]*")
+
+
+@given(st.text(alphabet="PQuv09_(),.#&|~<->é\xa0\t ", max_size=30))
+def test_the_first_stray_character_is_reported(text: str):
+    blanked = TOKEN.sub(lambda m: " " * len(m[0]), text)
+    at = len(blanked) - len(blanked.lstrip())
+    try:
+        parse(text)
+        error = ""
+    except LogicError as e:
+        error = str(e)
+    if at < len(text):
+        assert error == f"unexpected character {text[at]!r} (at position {at})"
+    else:
+        assert not error.startswith("unexpected character")
 
 
 @given(formulas(), st.integers(0, 4))

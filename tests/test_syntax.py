@@ -10,6 +10,7 @@ import hashlib
 import pickle
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,9 @@ def test_parse_errors_carry_position():
         parse("forall box. P(u)")
 
 
+# A parenthesized group of 26 tokens.
+GROUP = "(P(u) & Q(u) | box ~R -> forall v. P(v) & #p)"
+
 # Malformed inputs with the error class and message, position included,
 # that the parser gave before its rewrite as one precedence-climbing
 # function. Together they reach every error the parser raises.
@@ -177,6 +181,21 @@ PARSE_ERRORS = [
     ('#p\xa0& #q |', None, ParseError, "expected formula, found '' (at position 9)"),
     ('R(xé)', None, ParseError, "unexpected character 'é' (at position 3)"),
     ('P(u) & Q(v) -> R(u, v) <-> (S', None, ParseError, "expected ')', found '' (at position 29)"),
+    # A group long enough to be recorded, then a copy of it that is cut
+    # short, followed by trailing input or a stray character, or that
+    # shares its first 36 characters and then differs.
+    (f'{GROUP} & {GROUP[:-1]}', None, ParseError, "expected ')', found '' (at position 92)"),
+    (f'{GROUP} & {GROUP[:20]}', None, ParseError, "expected formula, found '' (at position 68)"),
+    (f'{GROUP} & {GROUP} #q', None, ParseError, "unexpected trailing input '#' (at position 94)"),
+    (f'{GROUP} & {GROUP})', None, ParseError, "unexpected trailing input ')' (at position 93)"),
+    (f'{GROUP} & {GROUP} $', None, ParseError, "unexpected character '$' (at position 94)"),
+    (f'{GROUP} & {GROUP[:36]}~)', None, ArityMismatchError, 'predicate P used with arity 0, expected 1 (at position 83)'),
+    (f'{GROUP} & {GROUP.replace("P(v)", "P(v, u)")}', None, ArityMismatchError,
+     'predicate P used with arity 2, expected 1 (at position 83)'),
+    (f'{GROUP} & {GROUP.replace("#p", "S")}', {'P': 1, 'Q': 1, 'R': 0}, UnknownPredicateError,
+     'unknown predicate S (at position 90)'),
+    (f'{GROUP} & box {GROUP} | {GROUP[:-1]} & #q)) & {GROUP[:12]}', None, ParseError,
+     "unexpected trailing input ')' (at position 150)"),
 ]
 
 
@@ -193,6 +212,36 @@ def test_deep_nesting_raises_too_deep():
         with pytest.raises(TooDeepError) as e:
             parse(text)
         assert e.value.code == "too-deep"
+
+
+def test_adversarial_group_texts_parse():
+    # 4000 sibling groups whose first 32 characters and first ")" agree:
+    # each lookup checks one recorded group.
+    siblings = parse(" & ".join("(" + "~" * 30 + f"P{i} | Q)" for i in range(4000)))
+    conjuncts = []
+    while isinstance(siblings, And):
+        siblings, last = siblings.left, siblings.right
+        conjuncts.append(last)
+    conjuncts.append(siblings)
+    assert len(conjuncts) == 4000
+    q = Atom("Q")
+    assert conjuncts[0] == Or(parse("~" * 30 + "P3999"), q) and conjuncts[-1] == Or(parse("~" * 30 + "P0"), q)
+    # The deepest nesting of parentheses that parses from here: the parser
+    # takes one stack frame per level, as it always has.
+    def nested(depth):
+        return "(" * depth + "R" + ")" * depth
+
+    low, high = 1, sys.getrecursionlimit()
+    while low < high:
+        mid = (low + high + 1) // 2
+        try:
+            parse(nested(mid))
+            low = mid
+        except TooDeepError:
+            high = mid - 1
+    here = len(traceback.extract_stack())
+    assert low >= sys.getrecursionlimit() - here - 20
+    assert parse(nested(low)) is Atom("R")
 
 
 def test_signature_checking():
@@ -419,6 +468,8 @@ def test_large_staged_result_prints_byte_identically():
     text = format_formula(r)
     assert len(text) == 7_077_872
     assert hashlib.md5(text.encode()).hexdigest() == "f250a0218fcfa9d90e07394c79137d16"
+    # Its repeated groups are parsed once each, and it reads back as r.
+    assert parse(text) is r
 
 
 def test_printing_over_budget_raises_before_building_text():
