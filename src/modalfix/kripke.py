@@ -32,9 +32,12 @@ asked for.
 A sentence is compiled once into a program, cached on its node: its
 distinct subformulas in postorder, which the pool runs in one loop, the
 labelling algorithm of explicit-state model checking. So each subformula
-is computed once per sentence, and no nesting is too deep. A subformula
-with k free variables is computed once per assignment of the pool's n
-constants to them, n^k masks, and more than 10^7 raise
+is computed once per sentence, and no nesting is too deep. Every value
+is one int: a subformula with k free variables has n^k segments side by
+side, one per assignment of the pool's n constants to them, each the
+mask of the worlds where it holds under it and as wide as the pool
+rounded up to whole bytes. So each connective and box is one operation
+on ints whatever k is, and over 10^7 assignments raise
 BoundExplosionError.
 eval_formula is the plain recursive reference, one world at a time,
 that the tests compare the evaluator against.
@@ -236,10 +239,11 @@ class ModelPool:
     in the order of its m.worlds. down pairs each position offset d >= 0
     with the mask of the positions that have an edge to the position d
     further on, and up each d > 0 with those that have an edge to the
-    position d back. present and absent hold, for each of consts in turn,
-    the mask of the positions where it is in the domain and its
-    complement. Facts at worlds outside m.worlds are ignored. A pool built
-    from tables makes its models, or one of them, only when asked.
+    position d back. present holds, for each of consts in turn, the mask
+    of the positions where it is in the domain, and open_atoms the value
+    of each atom with variables that a run has met. Facts at worlds
+    outside m.worlds are ignored. A pool built from tables makes its
+    models, or one of them, only when asked.
     """
 
     def __init__(self, models: Iterable[KripkeModel]):
@@ -303,11 +307,14 @@ class ModelPool:
         self.fact_masks = fact_masks
         self.all_mask = (1 << o) - 1
         self.consts = sorted(const_masks, key=_const_key)
-        self.present = present = [const_masks[c] for c in self.consts]
-        self.absent = [~mask for mask in present]
+        self.present = [const_masks[c] for c in self.consts]
         edges = sorted(edge_masks.items())
         self.down = [(d, e) for d, e in edges if d >= 0]
         self.up = [(-d, e) for d, e in reversed(edges) if d < 0]
+        self.open_atoms: dict[tuple, int] = {}
+        self._seg = (o + 7) // 8 or 1
+        self._reps = _Tiles(1, self._seg, len(self.consts))
+        self._fulls = _Tiles(self.all_mask, self._seg, len(self.consts))
 
     def masks(self, sentences: Iterable[Formula]) -> list[int]:
         """One mask per sentence, of the worlds of the pool where it holds.
@@ -316,8 +323,9 @@ class ModelPool:
         its compiled program: a subformula is computed once per sentence,
         and again in each later sentence that shares it, and any depth of
         nesting evaluates. A subformula with k free variables over the
-        pool's n constants needs n^k masks, and over 10^7 raise
-        BoundExplosionError before any is made."""
+        pool's n constants has one int of n^k segments, one per assignment,
+        and over 10^7 assignments raise BoundExplosionError before any is
+        made."""
         return [self._run(_program(self._sentence(f))) for f in sentences]
 
     def split(self, mask: int) -> list[int]:
@@ -348,117 +356,124 @@ class ModelPool:
         return f
 
     def _run(self, program: tuple[list[tuple], int]) -> int:
-        # One value per instruction: a mask for a closed node, and for a
-        # node with k free variables a list of n^k masks, one per
-        # assignment of the pool's n constants to its variables in name
-        # order, the first variable most significant.
+        # One int per value (see the module docstring): a closed node's is
+        # its mask, and a node with k free variables has a segment of s
+        # bytes per assignment of the pool's n constants to its variables
+        # in name order, the first variable most significant. Per k, _reps
+        # has a 1 at the start of each of the n^k segments and _fulls the
+        # pool's mask in each.
         code, k_max = program
         n = len(self.consts)
         if n**k_max > _BUDGET:
             raise BoundExplosionError(f"{n}^{k_max} variable assignments to evaluate exceed 10^7")
-        every = self.all_mask
-        facts = self.fact_masks
-        values: list = []
-        put = values.append
-        for cls, k, a, b, spots_a, spots_b, extra in code:
-            if k:
-                put(self._open(values, cls, k, a, b, spots_a, spots_b, extra))
-            elif cls is Implies:
-                put((every ^ values[a]) | values[b])
+        reps, fulls, every, facts = self._reps, self._fulls, self.all_mask, self.fact_masks
+        down, up = self.down, self.up
+        values: list = [None] * len(code)
+        for cls, k, at, a, b, extra in code:
+            if cls is Implies:
+                values[at] = (fulls[k] ^ values[a]) | values[b]
             elif cls is Box:
-                put(self._box(values[a]))
+                # A world fails box S when it has an edge to a world outside
+                # S. Every edge stays inside the pool, so no shift reaches
+                # into the next segment through an edge mask.
+                rep, full = reps[k], fulls[k]
+                missing = full ^ values[a]
+                acc = 0
+                for d, e in down:
+                    acc |= e * rep & missing >> d
+                for d, e in up:
+                    acc |= e * rep & missing << d
+                values[at] = full ^ acc
             elif cls is And:
-                put(values[a] & values[b])
+                values[at] = values[a] & values[b]
             elif cls is Not:
-                put(every ^ values[a])
+                values[at] = fulls[k] ^ values[a]
             elif cls is Top:
-                put(every)
-            elif cls is Or:
-                put(values[a] | values[b])
+                values[at] = every
+            elif cls is _SPREAD:
+                values[at] = self._spread(values[a], k, extra) if extra else values[a] * reps[k]
+            elif cls is Forall or cls is Exists:
+                values[at] = self._quantify(cls, k, extra, values[a])
             elif cls is Atom:
                 # _sentence has found its constants in every domain.
-                put(facts.get(extra, 0))
-            elif cls is Bottom:
-                put(0)
+                values[at] = self._open_atom(k, extra) if k else facts.get(extra, 0)
+            elif cls is Or:
+                values[at] = values[a] | values[b]
             else:
-                put(self._quantify(cls, 0, extra, values[a], spots_a))
-        return values[-1]
+                values[at] = 0  # Bottom
+        return values[code[-1][2]]
 
-    def _open(self, values: list, cls: type, k: int, a: int, b: int, spots_a: Optional[tuple[int, ...]],
-              spots_b: Optional[tuple[int, ...]], extra: object) -> list[int]:
-        """The n^k masks of a node with k free variables."""
-        if cls is Atom:
-            # Its facts, less the worlds where a variable's constant is not in the domain.
+    def _open_atom(self, k: int, extra: tuple) -> int:
+        """The value of an atom with k free variables, made once per pool:
+        its facts, less the worlds where a variable's constant is not in
+        the domain."""
+        got = self.open_atoms.get(extra)
+        if got is None:
             pred, template = extra
-            out = []
+            parts = []
             for names, masks in zip(product(self.consts, repeat=k), product(self.present, repeat=k)):
                 args = tuple(names[t] if type(t) is int else t for t in template)
-                out.append(self.fact_masks.get((pred, args), 0) & reduce(int.__and__, masks))
-            return out
-        if cls is Forall or cls is Exists:
-            return self._quantify(cls, k, extra, values[a], spots_a)
-        left = self._spread(values[a], spots_a, k)
-        every = self.all_mask
-        if cls is Not:
-            return [every ^ v for v in left]
-        if cls is Box:
-            return [self._box(v) for v in left]
-        right = self._spread(values[b], spots_b, k)
-        if cls is Implies:
-            return [(every ^ v) | w for v, w in zip(left, right)]
-        if cls is And:
-            return [v & w for v, w in zip(left, right)]
-        return [v | w for v, w in zip(left, right)]
+                mask = self.fact_masks.get((pred, args), 0) & reduce(int.__and__, masks)
+                parts.append(mask.to_bytes(self._seg, "little"))
+            got = self.open_atoms[extra] = int.from_bytes(b"".join(parts), "little")
+        return got
 
-    def _box(self, mask: int) -> int:
-        # A world fails box S when it has an edge to a world outside S.
-        missing = self.all_mask ^ mask
-        acc = 0
-        for d, e in self.down:
-            acc |= e & missing >> d
-        for d, e in self.up:
-            acc |= e & missing << d
-        return self.all_mask ^ acc
-
-    def _quantify(self, cls: type, k: int, occurs: bool, body: object, spots: Optional[tuple[int, ...]]) -> object:
+    def _quantify(self, cls: type, k: int, occurs: bool, body: int) -> int:
         """The value of a quantifier with k free variables from that of its
-        body, in which its variable occurs or not; spots are as for _spread,
-        with the quantifier's own variable last among the node's."""
-        n = len(self.consts)
+        body, whose first variable is the quantifier's own if it occurs."""
+        n, s = len(self.consts), self._seg
+        if cls is Forall:
+            body = ~body  # forall is not exists not
         if occurs:
-            body = self._spread(body, spots, k + 1)
-            parts = [body[i * n:i * n + n] for i in range(n**k)]
+            width = n**k * 8 * s
+            acc = 0
+            for c, p in enumerate(self.present):
+                acc |= body >> c * width & (_tile(p, s, n**k) if k else p)
         else:
-            # The body has the quantifier's variables: one value for every constant.
-            parts = [[v] * n for v in (body if k else [body])]
-        out = []
-        for part in parts:
-            if cls is Forall:
-                acc = self.all_mask
-                for v, absent in zip(part, self.absent):
-                    acc &= v | absent
-            else:
-                acc = 0
-                for v, present in zip(part, self.present):
-                    acc |= v & present
-            out.append(acc)
-        return out if k else out[0]
+            acc = body & reduce(int.__or__, self.present, 0) * self._reps[k]
+        return acc if cls is Exists else self._fulls[k] ^ acc
 
-    def _spread(self, value: object, spots: Optional[tuple[int, ...]], k: int) -> object:
-        """A child's value listed under the assignments of a node with k
-        variables, among which the child's variables sit at spots; None
-        means they are the node's."""
-        n = len(self.consts)
-        if spots is None:
-            return value
-        if not spots:
-            return [value] * n**k
-        # The child's assignment index under each of the node's.
+    def _spread(self, value: int, k: int, spots: tuple[int, ...]) -> int:
+        """The value of a child with variables, which sit at spots among the
+        k of its parent, laid out under the parent's assignments."""
+        n, s = len(self.consts), self._seg
+        place = {q: n ** (len(spots) - 1 - j) for j, q in enumerate(spots)}
+        weights = [place.get(p, 0) for p in range(k)]
+        # The last variables, when they are the child's last in turn, give
+        # runs of segments, and the variables the child lacks before them
+        # copies of each run.
+        run = copies = 1
+        while weights and weights[-1] == run:
+            weights.pop()
+            run *= n
+        while weights and weights[-1] == 0:
+            weights.pop()
+            copies *= n
+        # The child's assignment index at the start of each run.
         index = [0]
-        for p in range(k):
-            weight = sum(n ** (len(spots) - 1 - j) for j, s in enumerate(spots) if s == p)
-            index = [i + weight * c for i in index for c in range(n)]
-        return [value[i] for i in index]
+        for w in weights:
+            index = [i + w * c for i in index for c in range(n)]
+        data = value.to_bytes(n ** len(spots) * s, "little")
+        size = run * s
+        return int.from_bytes(b"".join([data[i * s:i * s + size] * copies for i in index]), "little")
+
+
+class _Tiles(dict):
+    """By k, a mask of a pool's worlds in each of the n^k segments of s
+    bytes of a value with k free variables, made on first use."""
+
+    def __init__(self, mask: int, s: int, n: int):
+        super().__init__({0: mask})
+        self.mask, self.s, self.n = mask, s, n
+
+    def __missing__(self, k: int) -> int:
+        got = self[k] = _tile(self.mask, self.s, self.n**k)
+        return got
+
+
+def _tile(mask: int, s: int, count: int) -> int:
+    """mask, of s bytes, in each of count segments."""
+    return int.from_bytes(mask.to_bytes(s, "little") * count, "little")
 
 
 # The table of a model, as the generators make it and ModelPool reads it:
@@ -481,31 +496,40 @@ def _table_model(table: tuple) -> KripkeModel:
 def _program(f: Formula) -> tuple[list[tuple], int]:
     """The sentence f compiled for ModelPool, cached on f: its distinct
     nodes in postorder, children left to right, and the largest number of
-    free variables of any of them. Each instruction is (class, k, left,
-    right, spots of left, spots of right, extra): k is the node's number
-    of free variables, left and right the instruction indices of its
-    children, and the spots of a child the positions of its variables
-    among the node's, both sorted by name (a quantifier's own variable
-    comes last), or None when they are the same. extra is an atom's
-    predicate and arguments, the constants as names and the variables as
-    spots, and for a quantifier whether its variable occurs in its body."""
+    free variables of any of them. Each instruction is (class, k, slot,
+    left, right, extra): k is the node's number of free variables, slot
+    where its value goes, and left and right the slots of its children's
+    values in its own layout. A child whose variables are not the node's
+    in turn is laid out by a spread instruction before it, (_SPREAD, k,
+    slot, child, -1, spots), with spots the positions among the node's of
+    the child's variables in name order; a quantifier's own variable comes
+    first among its body's. extra is an atom's predicate and arguments,
+    the constants as names and the variables as positions, and for a
+    quantifier whether its variable occurs in its body."""
     got = f.__dict__.get("_program")
     if got is None:
         got = f.__dict__["_program"] = _compile(f)
     return got
 
 
-def _spots(child: Formula, names: list[str]) -> Optional[tuple[int, ...]]:
-    """The positions among names of child's variables in name order, or
-    None if that is all of names in turn."""
-    spots = tuple(names.index(v) for v in sorted(child._free_vars)) if names else ()
-    return None if spots == tuple(range(len(names))) else spots
+_SPREAD = object()  # the class of a spread instruction
 
 
 def _compile(f: Formula) -> tuple[list[tuple], int]:
     index: dict[int, int] = {}
     code: list[tuple] = []
     k_max = 0
+
+    def laid_out(child: Formula, names: list[str]) -> int:
+        # The index of child's value under the assignments of names: its
+        # own, or that of a spread of it when its variables are not names.
+        i = index[id(child)]
+        spots = tuple(names.index(v) for v in sorted(child._free_vars))
+        if spots != tuple(range(len(names))):
+            code.append((_SPREAD, len(names), i, -1, spots))
+            i = len(code) - 1
+        return i
+
     stack = [f]
     while stack:
         g = stack[-1]
@@ -522,25 +546,31 @@ def _compile(f: Formula) -> tuple[list[tuple], int]:
         k = len(names)
         k_max = max(k_max, k)
         a = b = -1
-        spots_a = spots_b = extra = None
+        extra = None
         if cls is Atom:
             extra = (g.pred, tuple(names.index(t.name) if isinstance(t, Var) else t.name for t in g.args))
         elif cls is PropVar:
             raise EvalError(f"propositional variable #{g.name} has no truth value in a model")
         elif cls in (Forall, Exists):
-            a = index[id(g.body)]
             extra = g.var in g.body._free_vars
-            spots_a = _spots(g.body, names + [g.var] if extra else names)
+            a = laid_out(g.body, [g.var] + names if extra else names)
         elif cls in (Not, Box):
             a = index[id(g.body)]
-            spots_a = _spots(g.body, names)
         elif cls in (And, Or, Implies):
-            a, b = index[id(g.left)], index[id(g.right)]
-            spots_a, spots_b = _spots(g.left, names), _spots(g.right, names)
+            a, b = laid_out(g.left, names), laid_out(g.right, names)
         elif cls not in (Top, Bottom):
             raise TypeError(f"not a formula: {g!r}")
         index[id(g)] = len(code)
-        code.append((cls, k, a, b, spots_a, spots_b, extra))
+        code.append((cls, k, a, b, extra))
+    # Each value takes the slot of a value read for the last time before
+    # it, if there is one, so a run holds only the values still to be read.
+    last = {j: i for i, ins in enumerate(code) for j in ins[2:4]}
+    free: list[int] = []
+    slot: dict[int, int] = {}
+    for i, (cls, k, a, b, extra) in enumerate(code):
+        free += {slot[j] for j in (a, b) if j >= 0 and last[j] == i}
+        slot[i] = free.pop() if free else i
+        code[i] = (cls, k, slot[i], slot.get(a, -1), slot.get(b, -1), extra)
     return code, k_max
 
 

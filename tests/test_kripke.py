@@ -580,7 +580,7 @@ def _assert_same_pool(fed: ModelPool, models: list[KripkeModel]) -> None:
     """fed, a pool built from tables, has the tables of ModelPool(models),
     makes no model until asked, and then makes the generator's models."""
     built = ModelPool(models)
-    fields = ("offsets", "const_masks", "fact_masks", "down", "up", "consts", "present", "absent", "all_mask")
+    fields = ("offsets", "const_masks", "fact_masks", "down", "up", "consts", "present", "all_mask")
     assert [getattr(fed, f) for f in fields] == [getattr(built, f) for f in fields]
     assert fed._models is None
     if models:

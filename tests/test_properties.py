@@ -412,6 +412,112 @@ def test_model_pool_edge_cases_agree_with_reference():
     assert pool.masks(sentences) == [0] * len(sentences)
 
 
+def _segment_models() -> list[KripkeModel]:
+    # 3 + 5 + 4 = 12 worlds, so a segment spans two bytes and ends in 4
+    # unused bits. c0 and c2 are absent at some worlds; c1, which the
+    # sentences name, is everywhere. The last model has an edge from its
+    # first world to its last, the top world of the pool.
+    everywhere = frozenset({"c1"})
+    first = KripkeModel(
+        (0, 1, 2),
+        frozenset({(0, 1), (1, 2), (0, 2)}),
+        {0: everywhere, 1: everywhere | {"c0"}, 2: everywhere | {"c0", "c2"}},
+        {(1, "S"): frozenset({("c0", "c1"), ("c1", "c0")}), (2, "S"): frozenset({("c2", "c1"), ("c0", "c2")}),
+         (2, "P"): frozenset({("c0",), ("c1",)})},
+        {"P": 1, "S": 2},
+    )
+    second = KripkeModel(
+        (4, 3, 2, 1, 0),
+        frozenset({(4, 3), (3, 2), (2, 1), (1, 0), (4, 0)}),
+        {4: everywhere | {"c2"}, 3: everywhere | {"c2"}, 2: everywhere | {"c0", "c2"},
+         1: everywhere | {"c0", "c2"}, 0: everywhere | {"c0", "c2"}},
+        {(4, "S"): frozenset({("c2", "c1"), ("c1", "c1")}), (3, "S"): frozenset({("c1", "c2")}),
+         (1, "S"): frozenset({("c0", "c1"), ("c2", "c0")}), (0, "P"): frozenset({("c2",)}),
+         (2, "P"): frozenset({("c0",), ("c1",), ("c2",)})},
+        {"P": 1, "S": 2},
+    )
+    last = KripkeModel(
+        (0, 1, 2, 3),
+        frozenset({(0, 3), (1, 2)}),
+        {0: everywhere, 1: everywhere | {"c0"}, 2: everywhere | {"c0", "c2"}, 3: everywhere | {"c2"}},
+        {(3, "S"): frozenset({("c2", "c1"), ("c1", "c2")}), (3, "P"): frozenset({("c1",)}),
+         (2, "S"): frozenset({("c0", "c1")}), (1, "P"): frozenset({("c0",)})},
+        {"P": 1, "S": 2},
+    )
+    return [first, second, last]
+
+
+U, V, W, C1 = Var("u"), Var("v"), Var("w"), Const("c1")
+
+
+def S(a: Var | Const, b: Var | Const) -> Atom:
+    return Atom("S", (a, b))
+
+
+def test_open_values_keep_to_their_segments():
+    pool = ModelPool(_segment_models())
+    assert (len(pool.consts), pool.all_mask.bit_length()) == (3, 12)
+    sentences = [
+        # Box bodies with two and three free variables, whose binders come
+        # in another order than their names.
+        parse("forall w. forall u. forall v. box (S(v, w) | ~S(u, v))"),
+        parse("exists v. exists u. box (S(u, v) & ~P(v))"),
+        parse("exists w. forall v. exists u. box box (S(u, w) | S(w, v) & ~P(u))"),
+        # Quantifier bodies with two and three free variables.
+        parse("forall u. exists w. forall v. box (S(w, v) | exists x. (S(x, u) & P(w)))"),
+        parse("exists v. forall w. (S(w, v) -> exists u. box (S(u, w) | S(v, u)))"),
+        parse("forall w. forall v. exists u. (S(v, u) & ~S(u, w) | P(u))"),
+        # A binder whose variable is not in its body, under open nodes.
+        parse("forall u. forall v. (S(u, v) -> forall w. box S(v, u))"),
+        parse("forall u. exists v. exists w. box (P(u) | S(v, v))"),
+        # Open atoms with a constant argument (no text names a constant).
+        Forall("u", Box(Implies(S(U, C1), Exists("v", S(V, U))))),
+        Exists("u", Forall("v", Or(Or(S(U, C1), S(C1, V)), Not(Atom("P", (V,)))))),
+    ]
+    _check_pool_against_reference(pool, sentences)
+    assert pool.masks(sentences) == [
+        0b110111010111, 0b111010100100, 0b111111000110, 0b110110000100, 0b111111111101,
+        0b101010100100, 0b111110100101, 0b110110010110, 0b110111111111, 0b110101011111,
+    ]
+
+
+def test_open_values_of_a_pool_without_constants_are_empty():
+    # n = 0: an open value has no segments, and quantifiers range over
+    # the empty domain.
+    chain = KripkeModel((0, 1, 2), frozenset({(0, 1), (1, 2)}), {w: frozenset() for w in range(3)}, {}, {"S": 2})
+    loop = KripkeModel((5,), frozenset({(5, 5)}), {5: frozenset()}, {}, {"S": 2})
+    pool = ModelPool([chain, loop])
+    assert pool.consts == []
+    sentences = [
+        parse("forall u. forall v. box S(u, v)"),
+        parse("exists u. box forall v. S(u, v)"),
+        parse("box exists u. forall v. (S(v, u) -> box S(u, v))"),
+        parse("forall u. exists v. true"),
+    ]
+    _check_pool_against_reference(pool, sentences)
+    assert pool.masks(sentences) == [0b1111, 0, 0b0100, 0b1111]
+
+
+def test_open_atoms_are_tabulated_once_per_pool():
+    models = _segment_models()
+    first = [Forall("u", Implies(S(U, C1), Atom("P", (U,)))), Exists("v", Box(S(V, C1))),
+             Forall("u", Exists("v", Or(S(U, V), S(V, C1))))]
+    second = [Forall("w", Box(And(S(W, C1), Atom("P", (W,))))), Exists("u", Exists("v", And(S(V, C1), S(U, V))))]
+    pool = ModelPool(models)
+    got = pool.masks(first)
+    # S(u, c1) and S(v, c1) are one atom with its variable in one place.
+    assert set(pool.open_atoms) == {("S", (0, "c1")), ("P", (0,)), ("S", (0, 1))}
+    assert got + pool.masks(second) == [ModelPool(models).masks([f])[0] for f in first + second]
+    _check_pool_against_reference(pool, first + second)
+    # Another pool, with other facts for the same atoms, has its own table.
+    turned = [dataclasses.replace(m, interp={(w, p): frozenset(t[::-1] for t in ts) for (w, p), ts in m.interp.items()})
+              for m in models]
+    other = ModelPool(turned)
+    assert other.open_atoms == {} and other.open_atoms is not pool.open_atoms
+    _check_pool_against_reference(other, first + second)
+    assert other.open_atoms[("S", (0, "c1"))] != pool.open_atoms[("S", (0, "c1"))]
+
+
 @given(small_models(), formulas(with_hole=False))
 @settings(max_examples=100, deadline=None)
 def test_first_failing_world_agrees_with_reference_on_any_frame(m, f):
