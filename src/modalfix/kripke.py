@@ -39,6 +39,18 @@ mask of the worlds where it holds under it and as wide as the pool
 rounded up to whole bytes. So each connective and box is one operation
 on ints whatever k is, and over 10^7 assignments raise
 BoundExplosionError.
+
+The compiler folds true and false out of the sentence in the same walk:
+~true is false, ~false true; box true, forall v. true, A -> true and
+false -> A are true; true -> A is A, A -> false is ~A; either way round,
+A & true and A | false are A, A & false is false and A | true is true;
+exists v. false is false. Each holds at every world of every pool.
+exists v. true (false at an empty domain), forall v. false (true there)
+and box false (true only at the worlds with no successors) are never
+folded. The errors and the budget are decided on the unfolded sentence,
+every node of which is visited; only the folded nodes that its value
+reads get instructions.
+
 eval_formula is the plain recursive reference, one world at a time,
 that the tests compare the evaluator against.
 
@@ -57,6 +69,8 @@ from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .syntax import (
+    FALSE,
+    TRUE,
     And,
     Atom,
     Bottom,
@@ -494,9 +508,10 @@ def _table_model(table: tuple) -> KripkeModel:
 
 
 def _program(f: Formula) -> tuple[list[tuple], int]:
-    """The sentence f compiled for ModelPool, cached on f: its distinct
-    nodes in postorder, children left to right, and the largest number of
-    free variables of any of them. Each instruction is (class, k, slot,
+    """The sentence f compiled for ModelPool, cached on f: the distinct
+    nodes of its folded form (see the module docstring) that its value
+    reads, in postorder, children left to right, and the largest number
+    of free variables of any node of f. Each instruction is (class, k, slot,
     left, right, extra): k is the node's number of free variables, slot
     where its value goes, and left and right the slots of its children's
     values in its own layout. A child whose variables are not the node's
@@ -516,14 +531,15 @@ _SPREAD = object()  # the class of a spread instruction
 
 
 def _compile(f: Formula) -> tuple[list[tuple], int]:
-    index: dict[int, int] = {}
+    folded: dict[Formula, Formula] = {}  # each node's folded node
+    index: dict[Formula, int] = {}  # each folded node's instruction
     code: list[tuple] = []
     k_max = 0
 
     def laid_out(child: Formula, names: list[str]) -> int:
         # The index of child's value under the assignments of names: its
         # own, or that of a spread of it when its variables are not names.
-        i = index[id(child)]
+        i = index[child]
         spots = tuple(names.index(v) for v in sorted(child._free_vars))
         if spots != tuple(range(len(names))):
             code.append((_SPREAD, len(names), i, -1, spots))
@@ -533,45 +549,83 @@ def _compile(f: Formula) -> tuple[list[tuple], int]:
     stack = [f]
     while stack:
         g = stack[-1]
-        if id(g) in index:
+        if g in folded:
             stack.pop()
             continue
-        todo = [c for c in g._kids() if id(c) not in index]
+        kids = g._kids()
+        todo = [c for c in kids if c not in folded]
         if todo:
             stack += reversed(todo)
             continue
         stack.pop()
         cls = type(g)
-        names = sorted(g._free_vars)
-        k = len(names)
-        k_max = max(k_max, k)
+        k_max = max(k_max, len(g._free_vars))
+        if cls is PropVar:
+            raise EvalError(f"propositional variable #{g.name} has no truth value in a model")
+        if cls not in _FORMULAS:
+            raise TypeError(f"not a formula: {g!r}")
+        h = folded[g] = _fold(g, kids, tuple([folded[c] for c in kids]))
+        if h in index:
+            continue
+        cls = type(h)
+        names = sorted(h._free_vars)
         a = b = -1
         extra = None
         if cls is Atom:
-            extra = (g.pred, tuple(names.index(t.name) if isinstance(t, Var) else t.name for t in g.args))
-        elif cls is PropVar:
-            raise EvalError(f"propositional variable #{g.name} has no truth value in a model")
+            extra = (h.pred, tuple(names.index(t.name) if isinstance(t, Var) else t.name for t in h.args))
         elif cls in (Forall, Exists):
-            extra = g.var in g.body._free_vars
-            a = laid_out(g.body, [g.var] + names if extra else names)
+            extra = h.var in h.body._free_vars
+            a = laid_out(h.body, [h.var] + names if extra else names)
         elif cls in (Not, Box):
-            a = index[id(g.body)]
+            a = index[h.body]
         elif cls in (And, Or, Implies):
-            a, b = laid_out(g.left, names), laid_out(g.right, names)
-        elif cls not in (Top, Bottom):
-            raise TypeError(f"not a formula: {g!r}")
-        index[id(g)] = len(code)
-        code.append((cls, k, a, b, extra))
-    # Each value takes the slot of a value read for the last time before
-    # it, if there is one, so a run holds only the values still to be read.
-    last = {j: i for i, ins in enumerate(code) for j in ins[2:4]}
+            a, b = laid_out(h.left, names), laid_out(h.right, names)
+        index[h] = len(code)
+        code.append((cls, len(names), a, b, extra))
+    # Only the instructions that the value of f reads are kept, and its
+    # own is the last of them. Each value takes the slot of a value read
+    # for the last time before it, if there is one, so a run holds only
+    # the values still to be read.
+    root = index[folded[f]]
+    last = {root: root}
+    for i in range(root, -1, -1):
+        if i in last:
+            for j in code[i][2:4]:
+                last.setdefault(j, i)
     free: list[int] = []
     slot: dict[int, int] = {}
+    out: list[tuple] = []
     for i, (cls, k, a, b, extra) in enumerate(code):
-        free += {slot[j] for j in (a, b) if j >= 0 and last[j] == i}
-        slot[i] = free.pop() if free else i
-        code[i] = (cls, k, slot[i], slot.get(a, -1), slot.get(b, -1), extra)
-    return code, k_max
+        if i in last:
+            free += {slot[j] for j in (a, b) if j >= 0 and last[j] == i}
+            slot[i] = free.pop() if free else len(out)
+            out.append((cls, k, slot[i], slot.get(a, -1), slot.get(b, -1), extra))
+    return out, k_max
+
+
+_FORMULAS = frozenset({Top, Bottom, Atom, Not, Implies, And, Or, Forall, Exists, Box})
+
+
+def _fold(g: Formula, kids: tuple, new: tuple) -> Formula:
+    """g with its children kids replaced by their folded nodes new, folded
+    by the rule that applies to it if one does (see the module docstring):
+    g itself when no child changed and no rule applies."""
+    if TRUE in new or FALSE in new:
+        cls = type(g)
+        a, b = new[0], new[-1]
+        if cls is Not:
+            return FALSE if a is TRUE else TRUE
+        if cls is And:
+            return FALSE if FALSE in new else b if a is TRUE else a
+        if cls is Or:
+            return TRUE if TRUE in new else b if a is FALSE else a
+        if cls is Implies:
+            return TRUE if a is FALSE or b is TRUE else b if a is TRUE else Not(a)
+        if a is TRUE and cls is not Exists:  # box true, forall v. true
+            return TRUE
+        if a is FALSE and cls is Exists:
+            return FALSE
+    return g if new == kids else g._with(new)
 
 
 def truth_mask(m: KripkeModel, f: Formula) -> int:
@@ -957,16 +1011,25 @@ def _candidate_rels(k: int, require: frozenset[str], max_height: Optional[int]) 
 # Model file format
 
 def format_model(m: KripkeModel) -> str:
-    """Serialize a model to the line format understood by parse_model."""
-    if tuple(m.worlds) != tuple(range(len(m.worlds))):
+    """Serialize a model to the line format understood by parse_model. A
+    world without a domain, and an edge or a fact at a world outside
+    m.worlds, raise ModelError."""
+    worlds = range(len(m.worlds))
+    if tuple(m.worlds) != tuple(worlds):
         raise ModelError("only models with worlds numbered 0..n-1 can be serialized")
     lines = [f"worlds: {len(m.worlds)}"]
     for a, b in sorted(m.rel):
+        if a not in worlds or b not in worlds:
+            raise ModelError(f"edge: ({a}, {b}) mentions an unknown world")
         lines.append(f"edge: {a} {b}")
     for w in m.worlds:
+        if w not in m.domains:
+            raise ModelError(f"domain: world {w} has no domain")
         doms = " ".join(sorted(m.domains[w], key=_const_key))
         lines.append(f"domain: {w} {doms}")
     for (w, pred) in sorted(m.interp, key=lambda k: (k[0], k[1])):
+        if w not in worlds:
+            raise ModelError(f"fact: unknown world {w} for predicate {pred}")
         for tup in sorted(m.interp[(w, pred)]):
             lines.append(f"fact: {w} {pred} {' '.join(tup)}")
     return "\n".join(lines) + "\n"

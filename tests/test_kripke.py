@@ -32,7 +32,8 @@ from modalfix.kripke import (
     validate_model,
 )
 from modalfix.countermodel import chain_model
-from modalfix.syntax import FALSE, And, Atom, Box, Const, Not, parse, universal_closure
+from modalfix.syntax import FALSE, TRUE, And, Atom, Box, Const, Not, Or, Top, parse, universal_closure
+from test_acceptance import TARGETS, equation_for, target_stages
 
 
 def two_chain() -> KripkeModel:
@@ -671,6 +672,53 @@ def test_format_model_is_sorted_and_stable():
     lines = text.splitlines()
     assert lines[0] == "worlds: 2"
     assert "domain: 0 a b" in lines
+
+
+def test_format_model_rejects_what_parse_model_would():
+    # A world without a domain, and an edge or a fact at a world outside
+    # m.worlds: printed, each would be a file that parse_model rejects.
+    m = two_chain()
+    bad = [
+        (dataclasses.replace(m, domains={1: frozenset({"a"})}), "^domain: world 0 has no domain$"),
+        (dataclasses.replace(m, rel=frozenset({(1, 0), (0, 5)})), r"^edge: \(0, 5\) mentions an unknown world$"),
+        (dataclasses.replace(m, interp={**m.interp, (5, "P"): frozenset({("c0",)})}),
+         "^fact: unknown world 5 for predicate P$"),
+    ]
+    for model, message in bad:
+        with pytest.raises(ModelError, match=message):
+            format_model(model)
+    assert parse_model(format_model(m)) == m
+
+
+class Stray(Top):
+    """A node of no formula class."""
+
+
+def test_folding_keeps_every_error():
+    # Each sentence folds to true, yet the node that the unfolded sentence
+    # cannot evaluate still raises, as does its widest node's budget.
+    m = chain_model(2)
+    for text in ("true | #p", "#p -> true", "box true | ~#p"):
+        with pytest.raises(EvalError, match="^propositional variable #p has no truth value in a model$"):
+            truth_mask(m, parse(text))
+    atoms = " & ".join(f"P(x{i})" for i in range(24))
+    two = KripkeModel((0,), frozenset(), {0: frozenset({"c0", "c1"})}, {}, {"P": 1})
+    # In the second, every node with more than one variable folds at once.
+    for text in (f"{atoms} -> true", f"false & {atoms}"):
+        with pytest.raises(BoundExplosionError, match=r"^2\^24 variable assignments to evaluate exceed 10\^7$"):
+            truth_mask(two, universal_closure(parse(text)))
+    for f in (Or(TRUE, Stray()), Or(Box(TRUE), Not(Stray()))):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            truth_mask(m, f)
+
+
+def test_staged_equations_fold_to_fewer_instructions():
+    # The stages replace the boxes at depth n by true, so folding removes
+    # more than half of the instructions, and half of the equations fold
+    # to the one instruction true.
+    programs = [kripke._program(equation_for(parse(text), target_stages(text)[n])) for n in range(4) for text in TARGETS]
+    assert sum(len(code) for code, _ in programs) == 641
+    assert sum(len(code) == 1 and code[0][0] is Top for code, _ in programs) == 56
 
 
 def test_formulas_of_any_depth_evaluate_on_every_entry_point():

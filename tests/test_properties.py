@@ -412,6 +412,27 @@ def test_model_pool_edge_cases_agree_with_reference():
     assert pool.masks(sentences) == [0] * len(sentences)
 
 
+def test_folding_leaves_what_depends_on_the_model():
+    # exists u. true fails and forall u. false holds at a world with an
+    # empty domain, and box false holds at a dead end, so none of them is
+    # folded, alone or under a connective that is.
+    empty = KripkeModel((0, 1), frozenset({(1, 0)}), {0: frozenset(), 1: frozenset()}, {}, {"P": 1})
+    pool = ModelPool([empty, NO_WORLDS, chain_model(2), empty])
+    unfolded = [parse(text) for text in ("exists u. true", "forall u. false", "box false")]
+    assert [pool.split(mask)[0] for mask in pool.masks(unfolded)] == [0b00, 0b11, 0b01]
+    texts = [
+        "~exists u. true",
+        "true -> forall u. false",
+        "box false & true",
+        "exists u. true | false",
+        "box (box false -> false)",
+        "forall u. (P(u) -> false) & exists v. (true -> true)",
+        "exists u. (P(u) | true) -> forall v. (false & P(v))",
+        "box forall u. exists v. ~false",
+    ]
+    _check_pool_against_reference(pool, unfolded + [parse(text) for text in texts])
+
+
 def _segment_models() -> list[KripkeModel]:
     # 3 + 5 + 4 = 12 worlds, so a segment spans two bytes and ends in 4
     # unused bits. c0 and c2 are absent at some worlds; c1, which the
