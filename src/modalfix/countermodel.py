@@ -67,10 +67,9 @@ def chain_model(k: int) -> KripkeModel:
     _check_world_pairs(k + 1)
     worlds = tuple(range(k + 1))
     rel = frozenset((n, m) for n in worlds for m in range(n))
-    domains = {n: frozenset(str(m) for m in range(n, k + 3)) for n in worlds}
-    interp = {
-        (n, PRED): frozenset((str(m),) for m in range(n, k + 3) if m != n + 1) for n in worlds
-    }
+    names = list(map(str, range(k + 3)))
+    domains = {n: frozenset(names[n:]) for n in worlds}
+    interp = {(n, PRED): frozenset(zip(names[n:n + 1] + names[n + 2:])) for n in worlds}
     return KripkeModel(worlds, rel, domains, interp, {PRED: 1})
 
 

@@ -21,9 +21,13 @@ of the worlds where it is present, and per position offset d the mask
 E_d of the worlds with an edge to the world d positions on; box S is the
 complement of the union over d of E_d & shift(~S, d). truth_mask and
 batch_truth_masks check a pool of one. A pool is built from one table
-per model, which holds the model's fields, by ORing each world's bits
-into the pool's masks, so a caller with many models checks them in
-chunks of about a thousand worlds, as verify-fixpoint does.
+per model, which holds the model's fields. The enumeration's tables of
+one frame and choice of domains share those objects, and a run of them
+is built once: its first model's constants and edges are ORed in world
+by world, one multiplication per mask copies them over the rest of the
+run, and only the facts are ORed in model by model. Each OR costs the
+width of the pool, so a caller with many models checks them in chunks
+of about a thousand worlds, as verify-fixpoint does.
 ModelPool(models) reads the tables off each model. The generators stream
 tables, which verify-fixpoint feeds to pools without making a
 KripkeModel per model, and such a pool makes a model only when one is
@@ -64,8 +68,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import product
+from itertools import chain, product
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .syntax import (
@@ -286,36 +291,51 @@ class ModelPool:
         return self._models[j] if self._models is not None else _table_model(self._tables[j])
 
     def _build(self, tables: Iterable[tuple]) -> None:
+        """Fill the pool from one table per model. A run of tables that
+        share their worlds, rel and domains objects, as the tables of the
+        enumeration that share a frame and domains do, is one block: its
+        first model's constants and edges are ORed in world by world, and
+        those of the rest of the run are copies of them, made by one
+        multiplication per mask when the run ends. Facts are ORed in model
+        by model."""
         offsets = [0]
         const_masks: dict[str, int] = {}
         fact_masks: dict[tuple, int] = {}
         edge_masks: dict[int, int] = {}
-        o = 0
+        o = start = k = 0  # the run of the current block starts at start
+        worlds_b = rel_b = domains_b = None  # its fields
         for worlds, rel, domains, facts, _ in tables:
-            index: dict[int, int] = {}
-            for i, w in enumerate(worlds, o):
-                dom = domains.get(w)
-                if dom is None:
-                    raise EvalError(f"unknown world {w}")
-                index[w] = i
-                bit = 1 << i
-                for c in dom:
-                    const_masks[c] = const_masks.get(c, 0) | bit
-            try:
-                for a, b in rel:
-                    i = index[a]
-                    d = index[b] - i
-                    edge_masks[d] = edge_masks.get(d, 0) | 1 << i
-            except KeyError as e:
-                raise EvalError(f"unknown world {e.args[0]}") from None
+            if rel is not rel_b or domains is not domains_b or worlds is not worlds_b:
+                if o - start > k > 0:
+                    _repeat_block((const_masks, edge_masks), start, k, o - start)
+                worlds_b, rel_b, domains_b = worlds, rel, domains
+                start, k = o, len(worlds)
+                index: dict[int, int] = {}
+                for i, w in enumerate(worlds):
+                    dom = domains.get(w)
+                    if dom is None:
+                        raise EvalError(f"unknown world {w}")
+                    index[w] = i
+                    bit = 1 << i + o
+                    for c in dom:
+                        const_masks[c] = const_masks.get(c, 0) | bit
+                try:
+                    for a, b in rel:
+                        i = index[a]
+                        d = index[b] - i
+                        edge_masks[d] = edge_masks.get(d, 0) | 1 << i + o
+                except KeyError as e:
+                    raise EvalError(f"unknown world {e.args[0]}") from None
             for (w, pred), tuples in filter(None, facts):
                 if w in index:
-                    bit = 1 << index[w]
+                    bit = 1 << index[w] + o
                     for args in tuples:
                         key = pred, args
                         fact_masks[key] = fact_masks.get(key, 0) | bit
-            o += len(worlds)
+            o += k
             offsets.append(o)
+        if o - start > k > 0:
+            _repeat_block((const_masks, edge_masks), start, k, o - start)
         self.offsets = offsets
         self.const_masks = const_masks
         self.fact_masks = fact_masks
@@ -472,12 +492,23 @@ class ModelPool:
         return int.from_bytes(b"".join([data[i * s:i * s + size] * copies for i in index]), "little")
 
 
+def _repeat_block(dicts: tuple[dict, ...], start: int, k: int, width: int) -> None:
+    """Copy the k positions from start of each mask in dicts over the
+    width positions from start. No mask has a bit above those k yet."""
+    rep = ((1 << width) - 1) // ((1 << k) - 1)  # a 1 every k positions
+    for masks in dicts:
+        for key, mask in masks.items():
+            masks[key] = mask | (mask >> start) * rep << start
+
+
 class _Tiles(dict):
     """By k, a mask of a pool's worlds in each of the n^k segments of s
     bytes of a value with k free variables, made on first use."""
 
+    __slots__ = ("mask", "s", "n")
+
     def __init__(self, mask: int, s: int, n: int):
-        super().__init__({0: mask})
+        self[0] = mask
         self.mask, self.s, self.n = mask, s, n
 
     def __missing__(self, k: int) -> int:
@@ -849,25 +880,47 @@ def _random_tables(spec: ModelGenSpec, seeds: Iterable[int]) -> Iterator[tuple]:
     """The tables of the models random_model makes for spec with each of
     seeds in turn in place of its seed. The spec is checked before the
     first draw. One Random, seeded again for each seed, gives the stream
-    of Random(seed)."""
+    of Random(seed).
+
+    Each randint(lo, hi) of that stream is drawn here as randint draws
+    it: lo + r for the first r = getrandbits(k) below the width hi - lo +
+    1, with k the width's bit length, one bit even for a width of 1. That
+    is randrange's _randbelow_with_getrandbits on CPython 3.10 to 3.13,
+    so the draws and the models stay those of randint, with no Python
+    frame per draw; test_random_models_are_pinned holds the stream."""
     sig = dict(spec.signature)
     rng: Optional[random.Random] = None
-    constants: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}  # per domain size
     counts: dict[int, int] = {}  # per domain size: its _names
+    # Per domain size: its domain, and the tuples over it of each predicate
+    # of preds.
+    by_size: dict[int, tuple[frozenset[str], list[list[tuple[str, ...]]]]] = {}
     for seed in seeds:
         if rng is None:
             _check_spec(spec)
             rng = random.Random(seed)
-            randint, draw = rng.randint, rng.random
+            bits, draw = rng.getrandbits, rng.random
+            # Each range as (low, width, bits per draw).
+            (n_lo, n_w, n_k), (h_lo, h_w, h_k), (b_lo, b_w, b_k), (g_lo, g_w, g_k) = [
+                (lo, hi - lo + 1, (hi - lo + 1).bit_length())
+                for lo, hi in (spec.world_count, (0, spec.height_bound), spec.domain_base_size, spec.domain_growth)
+            ]
             density = spec.truth_density
             transitive = "transitive" in spec.require
             preds = sorted(sig.items())
         else:
             rng.seed(seed)
-        n = randint(*spec.world_count)
+        r = bits(n_k)
+        while r >= n_w:
+            r = bits(n_k)
+        n = n_lo + r
         _check_world_pairs(n)
         worlds = tuple(range(n))
-        levels = [randint(0, spec.height_bound) for _ in worlds]
+        levels = []
+        for _ in worlds:
+            r = bits(h_k)
+            while r >= h_w:
+                r = bits(h_k)
+            levels.append(h_lo + r)
         rel = [(a, b) for a in worlds for b in worlds if levels[a] > levels[b] and draw() < 0.5]
         if transitive:
             # Edges lead from a higher level to a lower one, so in ascending
@@ -887,23 +940,30 @@ def _random_tables(spec: ModelGenSpec, seeds: Iterable[int]) -> Iterator[tuple]:
         # From the highest level down, and by id within a level: edges lead
         # to lower levels, so every predecessor has its size.
         for w in sorted(worlds, key=levels.__getitem__, reverse=True):
-            size = randint(*spec.domain_base_size)
+            r = bits(b_k)
+            while r >= b_w:
+                r = bits(b_k)
+            size = b_lo + r
             if preds_of[w]:
-                size = max(size, *map(sizes.__getitem__, preds_of[w])) + randint(*spec.domain_growth)
+                r = bits(g_k)
+                while r >= g_w:
+                    r = bits(g_k)
+                size = max(size, *map(sizes.__getitem__, preds_of[w])) + g_lo + r
             sizes[w] = size
         for size in set(sizes) - counts.keys():
             counts[size] = _names(size, sig.values())
         _check_names(sum(map(counts.__getitem__, sizes)))
-        for size in set(sizes) - constants.keys():
+        for size in set(sizes) - by_size.keys():
             names = tuple(f"c{i}" for i in range(size))
-            constants[size] = names, frozenset(names)
-        domains = {w: constants[sizes[w]][1] for w in worlds}
+            of_arity = {a: list(product(names, repeat=a)) for a in set(sig.values())}
+            by_size[size] = frozenset(names), [of_arity[a] for _, a in preds]
 
+        domains: dict[int, frozenset[str]] = {}
         interp: dict[tuple[int, str], frozenset[tuple[str, ...]]] = {}
-        for w in worlds:
-            names = constants[sizes[w]][0]
-            for pred, arity in preds:
-                tuples = [t for t in product(names, repeat=arity) if draw() < density]
+        for w, size in enumerate(sizes):
+            domains[w], tuples_of = by_size[size]
+            for (pred, _), tuples in zip(preds, tuples_of):
+                tuples = [t for t in tuples if draw() < density]
                 if tuples:
                     interp[(w, pred)] = frozenset(tuples)
         yield worlds, rel, domains, interp.items(), sig
@@ -1012,27 +1072,72 @@ def _candidate_rels(k: int, require: frozenset[str], max_height: Optional[int]) 
 
 def format_model(m: KripkeModel) -> str:
     """Serialize a model to the line format understood by parse_model. A
-    world without a domain, and an edge or a fact at a world outside
-    m.worlds, raise ModelError."""
+    model that parse_model would not read back, up to sig entries with no
+    facts, raises ModelError: one with no worlds, a world without a domain
+    or with an empty one, an edge or a fact at a world outside m.worlds,
+    an edge along which the domain loses constants, a fact with a constant
+    outside its world's domain or of an arity other than sig's, and a
+    constant or predicate name that is empty or holds whitespace."""
     worlds = range(len(m.worlds))
     if tuple(m.worlds) != tuple(worlds):
         raise ModelError("only models with worlds numbered 0..n-1 can be serialized")
-    lines = [f"worlds: {len(m.worlds)}"]
-    for a, b in sorted(m.rel):
+    if not worlds:
+        raise ModelError("worlds: model has no worlds")
+    doms = list(map(m.domains.get, worlds))
+    for w, dom in enumerate(doms):
+        if not dom:
+            raise ModelError(f"domain: world {w} has {'no' if dom is None else 'an empty'} domain")
+    # Domains as bitmasks over one index of the constants, as in
+    # validate_model. Each domain object is sorted and printed once, its
+    # names by _const_key with no call per name.
+    consts = sorted(sorted(set().union(*doms)), key=len)
+    _check_words(consts)
+    bit = dict(zip(consts, map((1).__lshift__, range(len(consts)))))
+    seen: dict[int, tuple[int, str]] = {}  # by id of a domain: its mask and names
+    held = []
+    domain_lines = []
+    for w, dom in enumerate(doms):
+        got = seen.get(id(dom))
+        if got is None:
+            names = sorted(sorted(dom), key=len)
+            got = seen[id(dom)] = sum(map(bit.__getitem__, names)), " ".join(names)
+        held.append(got[0])
+        domain_lines.append(f"domain: {w} {got[1]}")
+    lines = [f"worlds: {len(worlds)}"]
+    # Two stable sorts on int keys put the edges in order faster than one
+    # sort that compares the pairs.
+    for a, b in sorted(sorted(m.rel, key=itemgetter(1)), key=itemgetter(0)):
         if a not in worlds or b not in worlds:
             raise ModelError(f"edge: ({a}, {b}) mentions an unknown world")
+        if held[a] & ~held[b]:
+            lost = ", ".join(sorted(m.domains[a] - m.domains[b], key=_const_key))
+            raise ModelError(f"monotonicity: edge ({a}, {b}) loses constants {lost}")
         lines.append(f"edge: {a} {b}")
-    for w in m.worlds:
-        if w not in m.domains:
-            raise ModelError(f"domain: world {w} has no domain")
-        doms = " ".join(sorted(m.domains[w], key=_const_key))
-        lines.append(f"domain: {w} {doms}")
-    for (w, pred) in sorted(m.interp, key=lambda k: (k[0], k[1])):
+    lines += domain_lines
+    _check_words(sorted(set(map(itemgetter(1), m.interp))), "predicate")
+    for w, pred in sorted(m.interp):
         if w not in worlds:
             raise ModelError(f"fact: unknown world {w} for predicate {pred}")
-        for tup in sorted(m.interp[(w, pred)]):
-            lines.append(f"fact: {w} {pred} {' '.join(tup)}")
+        if pred not in m.sig:
+            raise ModelError(f"fact: undeclared predicate {pred} at world {w}")
+        arity, dom = m.sig[pred], doms[w]
+        tuples = sorted(m.interp[w, pred])
+        if not ({arity}.issuperset(map(len, tuples)) and dom.issuperset(chain.from_iterable(tuples))):
+            tup = next(t for t in tuples if len(t) != arity or not dom.issuperset(t))
+            if len(tup) != arity:
+                raise ModelError(f"fact: {pred}{tup} at world {w} has arity {len(tup)}, expected {arity}")
+            raise ModelError(f"fact: {pred}{tup} at world {w} uses constants outside the domain")
+        lines += map(f"fact: {w} {pred} ".__add__, map(" ".join, tuples))
     return "\n".join(lines) + "\n"
+
+
+def _check_words(names: list[str], kind: str = "constant") -> None:
+    # parse_model splits its lines at whitespace, so a name that is empty
+    # or holds whitespace would not read back. Joined at single spaces,
+    # names split back into themselves only when none is.
+    if " ".join(names).split() != names:
+        name = next(name for name in names if name.split() != [name])
+        raise ModelError(f"{kind}: name {name!r} is empty or holds whitespace")
 
 
 def parse_model(text: str) -> KripkeModel:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import re
 from itertools import product
 
 import pytest
@@ -675,19 +676,55 @@ def test_format_model_is_sorted_and_stable():
 
 
 def test_format_model_rejects_what_parse_model_would():
-    # A world without a domain, and an edge or a fact at a world outside
-    # m.worlds: printed, each would be a file that parse_model rejects.
+    # Each of these, printed, would be a file that parse_model rejects or
+    # reads back as another model.
     m = two_chain()
     bad = [
         (dataclasses.replace(m, domains={1: frozenset({"a"})}), "^domain: world 0 has no domain$"),
         (dataclasses.replace(m, rel=frozenset({(1, 0), (0, 5)})), r"^edge: \(0, 5\) mentions an unknown world$"),
         (dataclasses.replace(m, interp={**m.interp, (5, "P"): frozenset({("c0",)})}),
          "^fact: unknown world 5 for predicate P$"),
+        (KripkeModel((), frozenset(), {}, {}, {}), "^worlds: model has no worlds$"),
+        (dataclasses.replace(m, domains={0: frozenset({"a"}), 1: frozenset()}), "^domain: world 1 has an empty domain$"),
+        (dataclasses.replace(m, domains={0: frozenset({"a"}), 1: frozenset({"a", "b", "cc"})}),
+         r"^monotonicity: edge \(1, 0\) loses constants b, cc$"),
+        (dataclasses.replace(m, interp={**m.interp, (1, "P"): frozenset({("a",), ("b",)})}),
+         r"^fact: P\('b',\) at world 1 uses constants outside the domain$"),
+        (dataclasses.replace(m, interp={**m.interp, (0, "P"): frozenset({("a",), ("a", "b")})}),
+         r"^fact: P\('a', 'b'\) at world 0 has arity 2, expected 1$"),
+        (dataclasses.replace(m, sig={}), "^fact: undeclared predicate P at world 0$"),
     ]
+    # Names that parse_model would split differently: "a b" would read
+    # back as two constants and a binary P.
+    for name in ["a b", "", " a", "a\n", "a\tb", "a\u2028b"]:
+        bad.append((KripkeModel((0, 1), frozenset({(1, 0)}), {0: frozenset({"a", name}), 1: frozenset({name})},
+                                {(1, "P"): frozenset({(name,)})}, {"P": 1}),
+                    f"^constant: name {re.escape(repr(name))} is empty or holds whitespace$"))
+        bad.append((dataclasses.replace(m, interp={(0, name): frozenset({("a",)})}, sig={name: 1}),
+                    f"^predicate: name {re.escape(repr(name))} is empty or holds whitespace$"))
     for model, message in bad:
         with pytest.raises(ModelError, match=message):
             format_model(model)
     assert parse_model(format_model(m)) == m
+
+
+def _with_facts_only_in_sig(m: KripkeModel) -> KripkeModel:
+    """m with only the sig entries of predicates that have facts, which is
+    all that a model file tells."""
+    used = {pred for _, pred in m.interp}
+    return dataclasses.replace(m, sig={p: a for p, a in m.sig.items() if p in used})
+
+
+def test_generated_models_read_back_as_themselves():
+    for args, kw, _, _ in _PINNED_ENUMERATIONS[::2]:
+        for m in enumerate_models(*args, **kw):
+            assert parse_model(format_model(m)) == _with_facts_only_in_sig(m)
+    for s in _pinned_specs():
+        m = random_model(s)
+        assert parse_model(format_model(m)) == _with_facts_only_in_sig(m)
+    for k in (0, 1, 5, 30):
+        m = chain_model(k)
+        assert parse_model(format_model(m)) == m
 
 
 class Stray(Top):

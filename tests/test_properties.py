@@ -412,6 +412,50 @@ def test_model_pool_edge_cases_agree_with_reference():
     assert pool.masks(sentences) == [0] * len(sentences)
 
 
+# Closed sentences with boxes and quantifiers, and some with the constant
+# c0, which the grammar does not write.
+_P_C0 = Atom("P", (Const("c0"),))
+_WITH_C0 = [Box(_P_C0), Exists("u", Box(Implies(Atom("P", (Var("u"),)), Box(_P_C0)))), Or(_P_C0, Box(Box(Bottom())))]
+_WITHOUT = [parse(text) for text in (
+    "forall u. box exists v. (P(u) | ~P(v))", "box box false", "exists u. ~box P(u)", "box forall u. P(u)",
+    "forall u. box ~P(u)",
+)]
+
+
+def test_pools_of_runs_that_share_a_block_agree_with_reference():
+    # The enumeration's tables of one frame and choice of domains share
+    # their fields, so each such block is a run that the pool builds from
+    # its first model; the reference evaluates each model of the pool,
+    # made from its table, on its own.
+    def same_block(s: tuple, t: tuple) -> bool:
+        return s[0] is t[0] and s[1] is t[1] and s[2] is t[2]
+
+    for max_domain, sentences in ((1, _WITH_C0 + _WITHOUT), (2, _WITHOUT)):
+        tables = list(kripke._enumerated_tables(3, max_domain, {"P": 1}, max_height=2))
+        cuts = [(0, 1), (1, 7), (5, 40), (37, 301), (290, 1000), (0, len(tables))]
+        inside = [i for cut in cuts for i in cut if 0 < i < len(tables) and same_block(tables[i - 1], tables[i])]
+        assert len(inside) >= 4  # chunks that start or end inside a block
+        for i, j in cuts:
+            _check_pool_against_reference(ModelPool._of_tables(tables[i:j]), sentences)
+        # A block that recurs after another block.
+        starts = [i for i in range(1, len(tables)) if not same_block(tables[i - 1], tables[i])]
+        a, b = tables[starts[-1]:], tables[starts[-2]:starts[-1]]
+        assert len(a) >= 4 and len(b) >= 4
+        _check_pool_against_reference(ModelPool._of_tables(a[:2] + b + a[2:] + b[:1]), sentences)
+    # One model object several times over, with and without worlds.
+    m = KripkeModel((0, 1, 2), frozenset({(0, 1), (0, 2), (1, 2)}),
+                    {0: frozenset({"c0"}), 1: frozenset({"c0", "c1"}), 2: frozenset({"c0", "c1"})},
+                    {(1, "P"): frozenset({("c0",)}), (2, "P"): frozenset({("c1",)})}, {"P": 1})
+    sentences = _WITH_C0 + _WITHOUT
+    for models in ([m, m, m], [NO_WORLDS, NO_WORLDS], [NO_WORLDS, m, m, NO_WORLDS, NO_WORLDS, m]):
+        _check_pool_against_reference(ModelPool(models), sentences)
+    # Random tables never share a block.
+    spec = ModelGenSpec(world_count=(1, 4), height_bound=2, signature={"P": 1}, domain_base_size=(1, 3))
+    tables = list(kripke._random_tables(spec, range(60)))
+    assert not any(map(same_block, tables, tables[1:]))
+    _check_pool_against_reference(ModelPool._of_tables(tables), _WITHOUT)
+
+
 def test_folding_leaves_what_depends_on_the_model():
     # exists u. true fails and forall u. false holds at a world with an
     # empty domain, and box false holds at a dead end, so none of them is
