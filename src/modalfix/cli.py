@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from . import countermodel, fixpoint, kripke, syntax
 from .syntax import FixpointTarget, LogicError, format_formula
@@ -90,47 +90,6 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-# verify-fixpoint checks its models as disjoint unions of about this many
-# worlds, which bounds the size of its masks.
-_CHUNK_WORLDS = 1024
-
-
-def _chunks(tables: Iterable[tuple]) -> Iterator[list[tuple]]:
-    """Consecutive runs of model tables of about _CHUNK_WORLDS worlds in
-    all. When making a table raises, the run of tables before it comes
-    first."""
-    chunk: list[tuple] = []
-    size = 0
-    try:
-        for table in tables:
-            chunk.append(table)
-            size += len(table[0])
-            if size >= _CHUNK_WORLDS:
-                yield chunk
-                chunk, size = [], 0
-    except LogicError:
-        if chunk:
-            yield chunk
-        raise
-    if chunk:
-        yield chunk
-
-
-def _first_invalid(tables: Iterable[tuple], sentence: syntax.Formula) -> tuple[int, Optional[kripke.KripkeModel]]:
-    """(i, m) for the first model m, the i-th, of the model tables in
-    which sentence is not valid, or (number of models, None). The sentence
-    has no constants, so checking it raises in every model or in none.
-    Only m is made as a KripkeModel."""
-    checked = 0
-    for chunk in _chunks(tables):
-        pool = kripke.ModelPool._of_tables(chunk)
-        j = pool.first_failing(pool.masks([sentence])[0])
-        if j is not None:
-            return checked + j, pool.model(j)
-        checked += len(chunk)
-    return checked, None
-
-
 def _cmd_verify_fixpoint(args: argparse.Namespace, out: TextIO) -> int:
     if args.random < 0:
         raise ValueError("--random must be >= 0")
@@ -158,7 +117,7 @@ def _cmd_verify_fixpoint(args: argparse.Namespace, out: TextIO) -> int:
         ("exhaustive", kripke._enumerated_tables(args.max_worlds, args.max_domain, sig, max_height=args.n)),
         ("random", kripke._random_tables(spec, range(args.seed, args.seed + args.random))),
     ):
-        count, m = _first_invalid(tables, equation)
+        count, m, _ = kripke.check_tables(tables, [equation])
         if m is not None:
             where = f"random seed {args.seed + count}" if name == "random" else name
             pairs += [("verdict", "fail"), ("counterexample", where)]

@@ -41,6 +41,7 @@ from .syntax import (
     free_and_bound_vars,
     is_modalized,
     is_sigma,
+    occurrence_depths,
     prop_vars,
     subst_at_depths,
     subst_prop,
@@ -101,8 +102,11 @@ def fixpoint_qk(target: FixpointTarget, n: int) -> FixpointTrace:
         raise NotModalizedError(f"#{hole} occurs outside every box in {format_formula(f)}")
     _check_normalized(f)
     stages: list[Formula] = [subst_at_depths(truncate(f, 0), hole, [TRUE])]
+    # The hole occurs no deeper than in f, so only the stages for depths
+    # 1 .. deepest are passed, and a stage costs the same at every k.
+    deepest = max(occurrence_depths(f, hole))
     for k in range(n):
-        subs = [TRUE] + stages[::-1]
+        subs = [TRUE, *reversed(stages[-deepest:])]
         stages.append(subst_at_depths(truncate(f, k + 1), hole, subs))
     return FixpointTrace(target, n, tuple(stages), stages[n])
 

@@ -26,12 +26,11 @@ one frame and choice of domains share those objects, and a run of them
 is built once: its first model's constants and edges are ORed in world
 by world, one multiplication per mask copies them over the rest of the
 run, and only the facts are ORed in model by model. Each OR costs the
-width of the pool, so a caller with many models checks them in chunks
-of about a thousand worlds, as verify-fixpoint does.
-ModelPool(models) reads the tables off each model. The generators stream
-tables, which verify-fixpoint feeds to pools without making a
-KripkeModel per model, and such a pool makes a model only when one is
-asked for.
+width of the pool, so check_tables checks a stream of tables, such as
+the generators make, in pools of about a thousand worlds, and stops at
+the first model where a sentence fails. ModelPool(models) reads the
+tables off each model; a pool built from tables makes a model only when
+one is asked for.
 
 A sentence is compiled once into a program, cached on its node: its
 distinct subformulas in postorder, which the pool runs in one loop, the
@@ -692,6 +691,48 @@ def first_failing_world(m: KripkeModel, f: Formula) -> Optional[int]:
     return min((w for i, w in enumerate(m.worlds) if not mask >> i & 1), default=None)
 
 
+# check_tables builds pools of about this many worlds, which bounds the
+# width of every mask and so the cost of each OR.
+_CHUNK_WORLDS = 1024
+
+
+def check_tables(tables: Iterable[tuple], sentences: Sequence[Formula]) -> tuple[int, Optional[KripkeModel], Optional[int]]:
+    """(i, m, s) for the first model m, the i-th, of a stream of model
+    tables (see _model_table) where a sentence is not valid, the s-th the
+    first; else (number of models, None, None). Each pool, of about
+    _CHUNK_WORLDS worlds, raises as ModelPool.masks does, and when the
+    stream raises a LogicError, the tables before it are checked first."""
+    checked = 0
+    for chunk in _chunks(tables):
+        pool = ModelPool._of_tables(chunk)
+        masks = pool.masks(sentences)
+        j = pool.first_failing(reduce(int.__and__, masks, pool.all_mask))
+        if j is not None:
+            s = next(s for s, mask in enumerate(masks) if pool.first_failing(mask) == j)
+            return checked + j, pool.model(j), s
+        checked += len(chunk)
+    return checked, None, None
+
+
+def _chunks(tables: Iterable[tuple]) -> Iterator[list[tuple]]:
+    """Runs of tables of about _CHUNK_WORLDS worlds. When making a table
+    raises, the run before it is yielded first."""
+    chunk, size = [], 0
+    try:
+        for table in tables:
+            chunk.append(table)
+            size += len(table[0])
+            if size >= _CHUNK_WORLDS:
+                yield chunk
+                chunk, size = [], 0
+    except LogicError:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
 # ---------------------------------------------------------------------------
 # Frame analysis
 
@@ -1074,10 +1115,11 @@ def format_model(m: KripkeModel) -> str:
     """Serialize a model to the line format understood by parse_model. A
     model that parse_model would not read back, up to sig entries with no
     facts, raises ModelError: one with no worlds, a world without a domain
-    or with an empty one, an edge or a fact at a world outside m.worlds,
-    an edge along which the domain loses constants, a fact with a constant
-    outside its world's domain or of an arity other than sig's, and a
-    constant or predicate name that is empty or holds whitespace."""
+    or with an empty one, an edge, a domain or a fact at a world outside
+    m.worlds, an edge along which the domain loses constants, an empty set
+    of facts, a fact with a constant outside its world's domain or of an
+    arity other than sig's, and a constant or predicate name that is empty
+    or holds whitespace."""
     worlds = range(len(m.worlds))
     if tuple(m.worlds) != tuple(worlds):
         raise ModelError("only models with worlds numbered 0..n-1 can be serialized")
@@ -1087,6 +1129,9 @@ def format_model(m: KripkeModel) -> str:
     for w, dom in enumerate(doms):
         if not dom:
             raise ModelError(f"domain: world {w} has {'no' if dom is None else 'an empty'} domain")
+    stray = m.domains.keys() - worlds
+    if stray:
+        raise ModelError(f"domain: entry for unknown world {min(stray)}")
     # Domains as bitmasks over one index of the constants, as in
     # validate_model. Each domain object is sorted and printed once, its
     # names by _const_key with no call per name.
@@ -1122,6 +1167,8 @@ def format_model(m: KripkeModel) -> str:
             raise ModelError(f"fact: undeclared predicate {pred} at world {w}")
         arity, dom = m.sig[pred], doms[w]
         tuples = sorted(m.interp[w, pred])
+        if not tuples:
+            raise ModelError(f"fact: empty set of facts for predicate {pred} at world {w}")
         if not ({arity}.issuperset(map(len, tuples)) and dom.issuperset(chain.from_iterable(tuples))):
             tup = next(t for t in tuples if len(t) != arity or not dom.issuperset(t))
             if len(tup) != arity:

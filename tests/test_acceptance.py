@@ -2,7 +2,7 @@
 
 Each test covers one acceptance criterion end to end and prints a
 single "criterion N: PASS" line with the check counts it performed.
-Model pools and exhaustive enumerations are built once, as ModelPools
+The model tables of the pools and exhaustive enumerations are made once,
 cached at module level, and shared between criteria.
 """
 
@@ -25,10 +25,13 @@ from modalfix.kripke import (
     KripkeModel,
     ModelGenSpec,
     ModelPool,
+    _enumerated_tables,
+    _model_table,
+    _random_tables,
+    check_tables,
     enumerate_models,
     eval_formula,
     frame_report,
-    random_model,
     valid_in_model,
     validate_model,
 )
@@ -141,25 +144,25 @@ SIGMA_SENTENCES = [
 
 
 @cache
-def exhaustive(n: int) -> ModelPool:
-    return ModelPool(enumerate_models(3, 2, {"P": 1}, max_height=n))
+def exhaustive(n: int) -> list[tuple]:
+    return list(_enumerated_tables(3, 2, {"P": 1}, max_height=n))
 
 
 @cache
-def pool_any(n: int) -> ModelPool:
-    spec = dict(world_count=(1, 4), height_bound=n, signature={"P": 1, "Q": 1})
-    return ModelPool(random_model(ModelGenSpec(**spec, seed=n * 1000 + i)) for i in range(1000))
+def pool_any(n: int) -> list[tuple]:
+    spec = ModelGenSpec(world_count=(1, 4), height_bound=n, signature={"P": 1, "Q": 1})
+    return list(_random_tables(spec, range(n * 1000, n * 1000 + 1000)))
 
 
 @cache
-def pool_trans_irrefl() -> ModelPool:
-    spec = dict(
+def pool_trans_irrefl() -> list[tuple]:
+    spec = ModelGenSpec(
         world_count=(1, 5),
         height_bound=3,
         signature={"P": 1, "Q": 1},
         require=frozenset({"transitive", "irreflexive"}),
     )
-    return ModelPool(random_model(ModelGenSpec(**spec, seed=50_000 + i)) for i in range(1000))
+    return list(_random_tables(spec, range(50_000, 51_000)))
 
 
 def _reflexive_extras() -> tuple[KripkeModel, ...]:
@@ -187,20 +190,16 @@ def _reflexive_extras() -> tuple[KripkeModel, ...]:
 
 
 @cache
-def pool_transitive() -> ModelPool:
+def pool_transitive() -> list[tuple]:
     """Transitive models: the seeded pool plus reflexive hand-built ones."""
-    return ModelPool(pool_trans_irrefl().models + _reflexive_extras())
+    return pool_trans_irrefl() + [_model_table(m) for m in _reflexive_extras()]
 
 
-def all_valid(pool: ModelPool, sentences) -> int:
+def all_valid(tables: list[tuple], sentences) -> int:
     """Number of (model, sentence) checks performed; asserts all valid."""
-    failures = [
-        (j, s)
-        for s, mask in zip(sentences, pool.masks(sentences))
-        if (j := pool.first_failing(mask)) is not None
-    ]
-    assert not failures, f"{len(failures)} failing, first in model {failures[0][0]}: {failures[0][1]}"
-    return len(pool.models) * len(sentences)
+    count, m, s = check_tables(tables, sentences)
+    assert m is None, f"model {count} fails {sentences[s]}"
+    return count * len(sentences)
 
 
 def equation_for(f: Formula, result: Formula) -> Formula:
@@ -275,7 +274,7 @@ def test_criterion_3_truncation_and_stage_agreement():
 
     # low[n] is the mask of the worlds of height at most n over the whole
     # pool: each model's worlds in order, the models one after another.
-    pool = exhaustive(3)
+    pool = ModelPool._of_tables(exhaustive(3))
     low = [0] * 4
     pos = 0
     for model in pool.models:
@@ -458,7 +457,7 @@ def test_criterion_6_substitution_and_uniqueness():
             uniqueness.append(prop)
             nonvacuous.append(universal_closure(antecedent))
     checks += all_valid(pool_trans_irrefl(), uniqueness)
-    head = ModelPool(pool_trans_irrefl().models[:50])
+    head = ModelPool._of_tables(pool_trans_irrefl()[:50])
     hits = sum(1 for mask in head.masks(nonvacuous) for part in head.split(mask) if part)
     assert hits > 0
     print(
@@ -493,7 +492,7 @@ def test_criterion_7_soundness_regression():
         reflexive_point, Implies(Box(Implies(Box(loeb_x), loeb_x)), Box(loeb_x))
     )
 
-    for m in pool_any(3).models[:200]:
+    for m in ModelPool._of_tables(pool_any(3)[:200]).models:
         h = frame_report(m).frame_height
         assert h is not None
         assert valid_in_model(m, boxes(h + 1, FALSE))

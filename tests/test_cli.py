@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from modalfix import cli, kripke
 from modalfix.countermodel import chain_model
 from modalfix.kripke import (
-    GenError,
     KripkeModel,
     enumerate_models,
     eval_formula,
@@ -354,22 +353,6 @@ def test_verify_fixpoint_prints_the_first_failing_model(monkeypatch, max_worlds,
     head, _, tail = out.getvalue().partition("verdict: fail\n")
     assert f"result: {stage}\n" in head
     assert tail == f"counterexample: {want}\n" + format_model(found[1])
-
-
-def test_first_invalid_lets_earlier_models_decide():
-    # The sentence has no constants, as every equation the CLI checks.
-    a = frozenset({"a"})
-    fails = KripkeModel((0,), frozenset(), {0: a}, {}, {"P": 1})
-    holds = KripkeModel((0,), frozenset(), {0: a}, {(0, "P"): frozenset({("a",)})}, {"P": 1})
-    sentence = parse("forall u. P(u)")
-
-    def then_raise(models):
-        yield from models
-        raise GenError("no more models")
-
-    assert cli._first_invalid(then_raise(map(kripke._model_table, [holds, fails])), sentence) == (1, fails)
-    with pytest.raises(GenError):
-        cli._first_invalid(then_raise(map(kripke._model_table, [holds, holds])), sentence)
 
 
 def test_an_argparse_error_leaves_the_cached_parser_unchanged(capsys):

@@ -34,6 +34,7 @@ from modalfix.syntax import (
     iff,
     parse,
     prop_vars,
+    subst_at_depths,
     subst_prop,
     subst_prop_map,
 )
@@ -68,6 +69,21 @@ def test_negated_box_stages():
     assert trace.stages == (parse("~true"), parse("~box ~true"))
     assert str(trace.result) == "~box ~true"
     assert fixpoint_qk(target, 2).result == parse("~box ~box ~true")
+
+
+def test_each_stage_gets_only_the_substituends_it_can_use(monkeypatch):
+    # The hole lies at depths 1 and 3, so no stage takes more than 4
+    # substituends, however large n is: the stages cost linear time in n.
+    given = []
+
+    def counting(f, hole, subs):
+        given.append(len(subs))
+        return subst_at_depths(f, hole, subs)
+
+    monkeypatch.setattr(fixpoint, "subst_at_depths", counting)
+    trace = fixpoint_qk(FixpointTarget(parse("box (#p & box box #p)"), "p"), 40)
+    assert given == [1, 2, 3] + [4] * 38
+    assert len(trace.stages) == 41
 
 
 def test_hole_free_target_is_its_own_fixed_point():

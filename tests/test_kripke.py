@@ -20,6 +20,7 @@ from modalfix.kripke import (
     ModelGenSpec,
     ModelPool,
     batch_truth_masks,
+    check_tables,
     enumerate_models,
     eval_formula,
     first_failing_world,
@@ -608,6 +609,96 @@ def test_random_tables_feed_the_pool_of_the_models():
         _assert_same_pool(fed, [random_model(dataclasses.replace(s, seed=x)) for x in seeds])
 
 
+def test_check_tables_lets_earlier_models_decide():
+    # The sentence has no constants, as every equation the CLI checks.
+    a = frozenset({"a"})
+    fails = KripkeModel((0,), frozenset(), {0: a}, {}, {"P": 1})
+    holds = KripkeModel((0,), frozenset(), {0: a}, {(0, "P"): frozenset({("a",)})}, {"P": 1})
+    sentence = parse("forall u. P(u)")
+
+    def then_raise(models):
+        yield from models
+        raise GenError("no more models")
+
+    assert check_tables(then_raise(map(kripke._model_table, [holds, fails])), [sentence]) == (1, fails, 0)
+    with pytest.raises(GenError):
+        check_tables(then_raise(map(kripke._model_table, [holds, holds])), [sentence])
+
+
+def test_check_tables_counts_models_across_chunks():
+    # Three worlds a model, so no chunk ends on a multiple of 1024 worlds;
+    # the failing model lies in the third chunk.
+    a = frozenset({"a"})
+    facts = {(w, "P"): frozenset({("a",)}) for w in range(3)}
+    holds = KripkeModel((0, 1, 2), frozenset({(0, 1), (1, 2)}), {0: a, 1: a, 2: a}, facts, {"P": 1})
+    fails = dataclasses.replace(holds, interp={**facts, (2, "P"): frozenset({("b",)})})
+    sentence = parse("box forall u. P(u)")
+    assert 700 * 3 > 2 * kripke._CHUNK_WORLDS
+    stream = [holds] * 700 + [fails] + [holds] * 99
+    assert check_tables(map(kripke._model_table, stream), [sentence]) == (700, fails, 0)
+    assert check_tables(map(kripke._model_table, [holds] * 800), [sentence]) == (800, None, None)
+
+
+def test_check_tables_reports_the_first_failing_model_then_sentence():
+    a = frozenset({"a"})
+
+    def point(*preds: str) -> KripkeModel:
+        return KripkeModel((0,), frozenset(), {0: a}, {(0, p): frozenset({()}) for p in preds}, {"R": 0, "S": 0})
+
+    both, only_r, neither = point("R", "S"), point("R"), point()
+    r, s = Atom("R"), Atom("S")
+    for lead in ([], [both] * 1500):
+        n = len(lead)
+
+        def check(models, sentences):
+            return check_tables(map(kripke._model_table, lead + models), sentences)
+
+        # S fails first, so it is reported though R fails at a later model.
+        assert check([both, only_r, neither], [r, s]) == (n + 1, only_r, 1)
+        # Both fail at the first failing model: the first of them is reported.
+        assert check([neither, only_r], [r, s]) == (n, neither, 0)
+        assert check([neither, only_r], [s, r]) == (n, neither, 0)
+        assert check([both, only_r], [r, Or(r, s)]) == (n + 2, None, None)
+    # Within a pool, a sentence that cannot be evaluated raises as
+    # ModelPool.masks does, though another fails at an earlier model.
+    has_b = dataclasses.replace(neither, domains={0: frozenset({"a", "b"})})
+    with pytest.raises(EvalError, match="^constant b is outside the domain of world 0$"):
+        check_tables(map(kripke._model_table, [has_b, both]), [r, Atom("P", (Const("b"),))])
+
+
+def _check_by_reference(tables: list[tuple], sentences: list) -> tuple:
+    for j, table in enumerate(tables):
+        m = kripke._table_model(table)
+        for i, s in enumerate(sentences):
+            if not all(eval_formula(m, w, s) for w in m.worlds):
+                return j, m, i
+    return len(tables), None, None
+
+
+def test_check_tables_agrees_with_reference_over_long_streams():
+    spec = ModelGenSpec(world_count=(1, 4), height_bound=2, signature={"P": 1, "Q": 1})
+    streams = [
+        list(kripke._enumerated_tables(3, 2, {"P": 1}, max_height=2)),
+        list(kripke._random_tables(spec, range(900))),
+    ]
+    sentences = [
+        universal_closure(parse(text))
+        for text in (
+            "box box box false",
+            "box box false",
+            "P(u) -> box P(u)",
+            "exists u. P(u) | box exists v. ~P(v)",
+            "box (exists u. P(u) -> box false)",
+        )
+    ]
+    for tables in streams:
+        assert sum(len(t[0]) for t in tables) > 2 * kripke._CHUNK_WORLDS
+        for start in (0, 500, 1200):
+            for group in ([0], [1], [0, 1], [3, 1], [4, 0], [2, 4, 1]):
+                chosen = [sentences[i] for i in group]
+                assert check_tables(tables[start:], chosen) == _check_by_reference(tables[start:], chosen)
+
+
 def test_capped_estimate_keeps_every_verdict():
     # The uncapped estimate, computed here on inputs whose exponents are at
     # most 10^5, so that its ints take kilobytes.
@@ -693,6 +784,9 @@ def test_format_model_rejects_what_parse_model_would():
         (dataclasses.replace(m, interp={**m.interp, (0, "P"): frozenset({("a",), ("a", "b")})}),
          r"^fact: P\('a', 'b'\) at world 0 has arity 2, expected 1$"),
         (dataclasses.replace(m, sig={}), "^fact: undeclared predicate P at world 0$"),
+        (dataclasses.replace(m, domains={**m.domains, 5: frozenset({"b"})}), "^domain: entry for unknown world 5$"),
+        (dataclasses.replace(m, interp={**m.interp, (1, "P"): frozenset()}),
+         "^fact: empty set of facts for predicate P at world 1$"),
     ]
     # Names that parse_model would split differently: "a b" would read
     # back as two constants and a binary P.
