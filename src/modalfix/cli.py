@@ -1,11 +1,12 @@
 """Command line front end.
 
 Subcommands: fixpoint, check, verify-fixpoint, refute, gen-model, mk.
-Formulas are given inline or as @path. Output is either human readable
-text (key: value) or machine readable lines (key<TAB>value) selected
-with --format. Every run is deterministic in its arguments; the seed in
-use is echoed in the output. Errors exit nonzero after printing a
-single line "error: <code>: <detail>" on stderr.
+Formulas are given inline or as @path. fixpoint, check, verify-fixpoint
+and refute print human readable text (key: value) or machine readable
+lines (key<TAB>value), selected with --format; gen-model and mk print
+model files. Every run is deterministic in its arguments; the seed in
+use is echoed in the output. Errors, usage errors included, exit nonzero
+after printing a single line "error: <code>: <detail>" on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import NoReturn, Optional, Sequence, TextIO
 
 from . import countermodel, fixpoint, kripke, syntax
 from .syntax import FixpointTarget, LogicError, format_formula
@@ -35,6 +36,7 @@ def _emit(pairs: list[tuple[str, str]], fmt: str, out: TextIO) -> None:
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
+    # The options of the commands that print key: value pairs.
     sub.add_argument("--format", choices=["text", "lines"], default="text")
     sub.add_argument("--seed", type=int, default=0)
 
@@ -199,11 +201,19 @@ def _write_model(text: str, path: Optional[str], out: TextIO) -> None:
         out.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through add_subparsers each of its subcommands, that
+    raises ValueError where argparse would print its usage and exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process; parsing leaves it
     unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modalfix",
         description="fixed points of modalized formulas, with a finite Kripke model checker",
     )
@@ -249,13 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--require", default="", help="comma separated: transitive,irreflexive")
     p.add_argument("--out", default="-", help="output path, - for stdout")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen_model)
 
     p = subs.add_parser("mk", help="emit a chain countermodel file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", default="-", help="output path, - for stdout")
-    _common_flags(p)
     p.set_defaults(func=_cmd_mk)
 
     return parser
@@ -263,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, out)
     except LogicError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)

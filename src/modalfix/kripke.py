@@ -58,7 +58,9 @@ eval_formula is the plain recursive reference, one world at a time,
 that the tests compare the evaluator against.
 
 A model caches its successor lists and sorted domains on first use;
-dataclasses.replace gives a copy whose caches are cold.
+dataclasses.replace gives a copy whose caches are cold. validate_model
+states every rule of a well-formed model, and parse_model and
+format_model, which read and print model files, enforce them.
 """
 
 from __future__ import annotations
@@ -146,14 +148,36 @@ def _const_key(c: str) -> tuple[int, str]:
 
 
 def validate_model(m: KripkeModel) -> list[str]:
-    """Return a list of violation descriptions; empty means well formed."""
+    """Return a list of violation descriptions; empty means well formed.
+
+    These are the only rules of a model: parse_model and format_model both
+    enforce them. A name that is empty or holds whitespace breaks one,
+    since it would not read back from a model file."""
     out: list[str] = []
     if not m.worlds:
         out.append("worlds: model has no worlds")
     if len(set(m.worlds)) != len(m.worlds):
         out.append("worlds: duplicate world ids")
     wset = set(m.worlds)
-    edges = sorted(m.rel)
+    stray = sorted(set(m.domains) - wset)
+    # Domains as bitmasks over one index of the constants, one sum per
+    # domain object. An edge (a, b) loses the constants of held[a] & lacks[b].
+    consts = sorted(set().union(*m.domains.values()), key=_const_key)
+    bit = dict(zip(consts, map((1).__lshift__, range(len(consts)))))
+    by_id = {id(dom): dom for dom in m.domains.values()}
+    masks = {i: sum(map(bit.__getitem__, dom)) for i, dom in by_id.items()}
+    held = {w: masks[id(dom)] for w, dom in m.domains.items()}
+    full = (1 << len(consts)) - 1
+    lacks = {w: full ^ mask for w, mask in held.items()}
+    # One pass checks both edge rules, since with no stray domain an edge
+    # whose worlds have domains joins two worlds. Edges are sorted only to
+    # report one.
+    try:
+        lossy = any(map(int.__and__, map(held.__getitem__, map(itemgetter(0), m.rel)),
+                        map(lacks.__getitem__, map(itemgetter(1), m.rel))))
+        edges = sorted(m.rel) if stray or lossy else ()
+    except KeyError:
+        edges = sorted(m.rel)
     for a, b in edges:
         if a not in wset or b not in wset:
             out.append(f"edge: ({a}, {b}) mentions an unknown world")
@@ -162,33 +186,39 @@ def validate_model(m: KripkeModel) -> list[str]:
             out.append(f"domain: world {w} has no domain")
         elif not m.domains[w]:
             out.append(f"domain: world {w} has an empty domain")
-    for w in sorted(set(m.domains) - wset):
+    for w in stray:
         out.append(f"domain: entry for unknown world {w}")
-    # Domains as bitmasks over one index of the constants.
-    bit: dict[str, int] = {}
-    for dom in m.domains.values():
-        for c in dom:
-            if c not in bit:
-                bit[c] = 1 << len(bit)
-    consts = list(bit)
-    held = {w: sum(map(bit.__getitem__, dom)) for w, dom in m.domains.items()}
+    out += _bad_names(consts, "constant")
     for a, b in edges:
-        if a in held and b in held and held[a] & ~held[b]:
-            names = ", ".join(sorted((consts[i] for i in _bits(held[a] & ~held[b])), key=_const_key))
+        lost = a in held and b in held and held[a] & lacks[b]
+        if lost:
+            names = ", ".join(consts[i] for i in _bits(lost))
             out.append(f"monotonicity: edge ({a}, {b}) loses constants {names}")
+    out += _bad_names(sorted({pred for _, pred in m.interp}), "predicate")
     for (w, pred), tuples in sorted(m.interp.items()):
+        arity, dom = m.sig.get(pred), m.domains.get(w)
         if w not in wset:
             out.append(f"fact: unknown world {w} for predicate {pred}")
-            continue
-        if pred not in m.sig:
+        elif pred not in m.sig:
             out.append(f"fact: undeclared predicate {pred} at world {w}")
-            continue
-        for tup in sorted(tuples):
-            if len(tup) != m.sig[pred]:
-                out.append(f"fact: {pred}{tup} at world {w} has arity {len(tup)}, expected {m.sig[pred]}")
-            elif w in m.domains and not set(tup) <= m.domains[w]:
-                out.append(f"fact: {pred}{tup} at world {w} uses constants outside the domain")
+        elif not tuples:
+            out.append(f"fact: empty set of facts for predicate {pred} at world {w}")
+        elif not ({arity}.issuperset(map(len, tuples))
+                  and (dom is None or dom.issuperset(chain.from_iterable(tuples)))):
+            for tup in sorted(tuples):
+                if len(tup) != arity:
+                    out.append(f"fact: {pred}{tup} at world {w} has arity {len(tup)}, expected {arity}")
+                elif dom is not None and not dom.issuperset(tup):
+                    out.append(f"fact: {pred}{tup} at world {w} uses constants outside the domain")
     return out
+
+
+def _bad_names(names: list[str], kind: str) -> list[str]:
+    # Joined at single spaces, names split back into themselves only when
+    # none is empty or holds whitespace.
+    if " ".join(names).split() == names:
+        return []
+    return [f"{kind}: name {name!r} is empty or holds whitespace" for name in names if name.split() != [name]]
 
 
 # ---------------------------------------------------------------------------
@@ -1112,79 +1142,28 @@ def _candidate_rels(k: int, require: frozenset[str], max_height: Optional[int]) 
 # Model file format
 
 def format_model(m: KripkeModel) -> str:
-    """Serialize a model to the line format understood by parse_model. A
-    model that parse_model would not read back, up to sig entries with no
-    facts, raises ModelError: one with no worlds, a world without a domain
-    or with an empty one, an edge, a domain or a fact at a world outside
-    m.worlds, an edge along which the domain loses constants, an empty set
-    of facts, a fact with a constant outside its world's domain or of an
-    arity other than sig's, and a constant or predicate name that is empty
-    or holds whitespace."""
+    """Serialize a model to the line format of parse_model, which reads it
+    back up to sig entries with no facts. The worlds must be numbered
+    0..n-1 in order, and a model that breaks a rule of validate_model
+    raises ModelError with the first violation."""
     worlds = range(len(m.worlds))
     if tuple(m.worlds) != tuple(worlds):
         raise ModelError("only models with worlds numbered 0..n-1 can be serialized")
-    if not worlds:
-        raise ModelError("worlds: model has no worlds")
-    doms = list(map(m.domains.get, worlds))
-    for w, dom in enumerate(doms):
-        if not dom:
-            raise ModelError(f"domain: world {w} has {'no' if dom is None else 'an empty'} domain")
-    stray = m.domains.keys() - worlds
-    if stray:
-        raise ModelError(f"domain: entry for unknown world {min(stray)}")
-    # Domains as bitmasks over one index of the constants, as in
-    # validate_model. Each domain object is sorted and printed once, its
-    # names by _const_key with no call per name.
-    consts = sorted(sorted(set().union(*doms)), key=len)
-    _check_words(consts)
-    bit = dict(zip(consts, map((1).__lshift__, range(len(consts)))))
-    seen: dict[int, tuple[int, str]] = {}  # by id of a domain: its mask and names
-    held = []
-    domain_lines = []
-    for w, dom in enumerate(doms):
-        got = seen.get(id(dom))
-        if got is None:
-            names = sorted(sorted(dom), key=len)
-            got = seen[id(dom)] = sum(map(bit.__getitem__, names)), " ".join(names)
-        held.append(got[0])
-        domain_lines.append(f"domain: {w} {got[1]}")
+    violations = validate_model(m)
+    if violations:
+        raise ModelError(violations[0])
     lines = [f"worlds: {len(worlds)}"]
     # Two stable sorts on int keys put the edges in order faster than one
     # sort that compares the pairs.
-    for a, b in sorted(sorted(m.rel, key=itemgetter(1)), key=itemgetter(0)):
-        if a not in worlds or b not in worlds:
-            raise ModelError(f"edge: ({a}, {b}) mentions an unknown world")
-        if held[a] & ~held[b]:
-            lost = ", ".join(sorted(m.domains[a] - m.domains[b], key=_const_key))
-            raise ModelError(f"monotonicity: edge ({a}, {b}) loses constants {lost}")
-        lines.append(f"edge: {a} {b}")
-    lines += domain_lines
-    _check_words(sorted(set(map(itemgetter(1), m.interp))), "predicate")
+    lines += map("edge: %d %d".__mod__, sorted(sorted(m.rel, key=itemgetter(1)), key=itemgetter(0)))
+    # Each domain object is sorted and printed once, its names by
+    # _const_key with no call per name.
+    by_id = {id(dom): dom for dom in m.domains.values()}
+    names = {i: " ".join(sorted(sorted(dom), key=len)) for i, dom in by_id.items()}
+    lines += (f"domain: {w} {names[id(m.domains[w])]}" for w in worlds)
     for w, pred in sorted(m.interp):
-        if w not in worlds:
-            raise ModelError(f"fact: unknown world {w} for predicate {pred}")
-        if pred not in m.sig:
-            raise ModelError(f"fact: undeclared predicate {pred} at world {w}")
-        arity, dom = m.sig[pred], doms[w]
-        tuples = sorted(m.interp[w, pred])
-        if not tuples:
-            raise ModelError(f"fact: empty set of facts for predicate {pred} at world {w}")
-        if not ({arity}.issuperset(map(len, tuples)) and dom.issuperset(chain.from_iterable(tuples))):
-            tup = next(t for t in tuples if len(t) != arity or not dom.issuperset(t))
-            if len(tup) != arity:
-                raise ModelError(f"fact: {pred}{tup} at world {w} has arity {len(tup)}, expected {arity}")
-            raise ModelError(f"fact: {pred}{tup} at world {w} uses constants outside the domain")
-        lines += map(f"fact: {w} {pred} ".__add__, map(" ".join, tuples))
+        lines += map(f"fact: {w} {pred} ".__add__, map(" ".join, sorted(m.interp[w, pred])))
     return "\n".join(lines) + "\n"
-
-
-def _check_words(names: list[str], kind: str = "constant") -> None:
-    # parse_model splits its lines at whitespace, so a name that is empty
-    # or holds whitespace would not read back. Joined at single spaces,
-    # names split back into themselves only when none is.
-    if " ".join(names).split() != names:
-        name = next(name for name in names if name.split() != [name])
-        raise ModelError(f"{kind}: name {name!r} is empty or holds whitespace")
 
 
 def parse_model(text: str) -> KripkeModel:

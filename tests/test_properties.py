@@ -11,6 +11,7 @@ import tempfile
 from itertools import product
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from modalfix import cli, kripke
@@ -18,6 +19,7 @@ from modalfix.countermodel import chain_model, eval_infinite_chain
 from modalfix.fixpoint import boolean_sigma_fixpoint
 from modalfix.kripke import (
     KripkeModel,
+    ModelError,
     ModelGenSpec,
     ModelPool,
     batch_truth_masks,
@@ -25,6 +27,7 @@ from modalfix.kripke import (
     first_failing_world,
     format_model,
     generated_submodel,
+    parse_model,
     random_model,
     truth_mask,
     validate_model,
@@ -636,6 +639,90 @@ def test_random_models_validate(seed: int):
         )
     )
     assert validate_model(m) == []
+
+
+BAD_NAMES = ("", "a b", " a", "a\n", "\u2028")
+
+
+@st.composite
+def faulty_models(draw) -> tuple[KripkeModel, list[tuple]]:
+    """A model with worlds 0..n-1, drawn well formed as in small_models,
+    and up to five faults for it. Each fault is a tuple of the edges it
+    adds and the entries it sets in domains (None to delete one), interp
+    and sig. The faults are an edge to world n; a missing, empty or stray
+    domain; a domain that shrinks along an edge; a fact at world n, of an
+    undeclared predicate, of the wrong arity or with a constant outside the
+    domain; an empty set of facts; a constant or predicate name that is
+    empty or holds whitespace."""
+    m = draw(small_models(constants=("a", "b", "cc"), sig=(("P", 1), ("S", 2))))
+    n = len(m.worlds)
+    m = dataclasses.replace(m, worlds=tuple(range(n)))
+    world = st.integers(0, n - 1)
+
+    def fault(w: int, v: int, kind: str) -> tuple:
+        dom, facts = m.domains[w], m.interp.get((w, "P"), frozenset())
+        return {
+            "edge": ({(w, n)}, {}, {}, {}),
+            "no domain": (set(), {w: None}, {}, {}),
+            "empty domain": (set(), {w: frozenset()}, {}, {}),
+            "stray domain": (set(), {n + v % 2: frozenset({"a"})}, {}, {}),
+            # w gains a constant that a world it sees lacks.
+            "shrink": ({(w, (w + 1 + v % (n - 1)) % n if n > 1 else n)}, {w: dom | {"z"}}, {}, {}),
+            "fact world": (set(), {}, {(n, "P"): frozenset({("a",)})}, {}),
+            "undeclared": (set(), {}, {(w, "T"): frozenset({("a",)})}, {}),
+            "arity": (set(), {}, {(w, "P"): facts | {("a", "a")}}, {}),
+            "outside": (set(), {}, {(w, "P"): facts | {("q",)}}, {}),
+            "empty facts": (set(), {}, {(w, "PS"[v % 2]): frozenset()}, {}),
+            "constant name": (set(), {w: dom | {BAD_NAMES[v % 5]}}, {}, {}),
+            "predicate name": (set(), {}, {(w, BAD_NAMES[v % 5]): frozenset({()})}, {BAD_NAMES[v % 5]: 0}),
+        }[kind]
+
+    kinds = st.sampled_from(["edge", "no domain", "empty domain", "stray domain", "shrink", "fact world",
+                             "undeclared", "arity", "outside", "empty facts", "constant name", "predicate name"])
+    faults = draw(st.lists(st.builds(fault, world, st.integers(0, 9), kinds), max_size=5))
+    return m, faults
+
+
+def _with_faults(m: KripkeModel, faults: list[tuple]) -> KripkeModel:
+    rel, domains, interp, sig = set(m.rel), dict(m.domains), dict(m.interp), dict(m.sig)
+    for edges, doms, facts, preds in faults:
+        rel |= edges
+        domains.update(doms)
+        interp.update(facts)
+        sig.update(preds)
+    domains = {w: dom for w, dom in domains.items() if dom is not None}
+    return KripkeModel(m.worlds, frozenset(rel), domains, interp, sig)
+
+
+# The parts of a model in the order in which validate_model reports them.
+RULE_ORDER = ("worlds", "edge", "domain", "constant", "monotonicity", "predicate", "fact")
+
+
+def _format_against_validate(m: KripkeModel) -> list[str]:
+    """validate_model(m), once checked to be in RULE_ORDER and to be what
+    format_model enforces: it raises the first violation, or prints a file
+    that reads back as m, up to sig entries with no facts."""
+    violations = validate_model(m)
+    kinds = [RULE_ORDER.index(v.split(":")[0]) for v in violations]
+    assert kinds == sorted(kinds), violations
+    if violations:
+        with pytest.raises(ModelError) as error:
+            format_model(m)
+        assert str(error.value) == violations[0]
+    else:
+        used = {pred for _, pred in m.interp}
+        assert parse_model(format_model(m)) == dataclasses.replace(m, sig={p: a for p, a in m.sig.items() if p in used})
+    return violations
+
+
+@given(faulty_models())
+@settings(max_examples=200, deadline=None)
+def test_format_model_prints_exactly_what_validate_model_accepts(case):
+    m, faults = case
+    assert _format_against_validate(m) == []
+    # Each fault alone, then all of them together.
+    for some in [[f] for f in faults] + [faults] * bool(faults):
+        assert _format_against_validate(_with_faults(m, some))
 
 
 def _ranges(low: int, high: int) -> st.SearchStrategy[tuple[int, int]]:
