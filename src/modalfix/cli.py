@@ -4,9 +4,11 @@ Subcommands: fixpoint, check, verify-fixpoint, refute, gen-model, mk.
 Formulas are given inline or as @path. fixpoint, check, verify-fixpoint
 and refute print human readable text (key: value) or machine readable
 lines (key<TAB>value), selected with --format; gen-model and mk print
-model files. Every run is deterministic in its arguments; the seed in
-use is echoed in the output. Errors, usage errors included, exit nonzero
-after printing a single line "error: <code>: <detail>" on stderr.
+model files. Every run is deterministic in its arguments. Only
+verify-fixpoint and gen-model draw random models, so only they take
+--seed, and each echoes it in its output. Errors, usage errors
+included, exit nonzero after printing a single line
+"error: <code>: <detail>" on stderr.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ def _emit(pairs: list[tuple[str, str]], fmt: str, out: TextIO) -> None:
             out.write(f"{key}: {value}\n")
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    # The options of the commands that print key: value pairs.
+def _format_flag(sub: argparse.ArgumentParser) -> None:
+    # The option of the commands that print key: value pairs.
     sub.add_argument("--format", choices=["text", "lines"], default="text")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _cmd_fixpoint(args: argparse.Namespace, out: TextIO) -> int:
@@ -46,7 +47,7 @@ def _cmd_fixpoint(args: argparse.Namespace, out: TextIO) -> int:
         raise ValueError("--n applies only to qk-bot")
     f = syntax.parse(_read_formula_arg(args.formula))
     target = syntax.normalize_variables(FixpointTarget(f, args.hole))
-    pairs = [("command", "fixpoint"), ("logic", args.logic), ("seed", str(args.seed))]
+    pairs = [("command", "fixpoint"), ("logic", args.logic)]
     if args.logic == "qk-bot":
         if args.n is None:
             raise ValueError("--n is required for qk-bot")
@@ -68,12 +69,7 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
             raise syntax.ArityMismatchError(
                 f"formula uses {pred} with arity {arity}, model facts use {m.sig[pred]}"
             )
-    pairs = [
-        ("command", "check"),
-        ("model", args.model),
-        ("seed", str(args.seed)),
-        ("formula", format_formula(f)),
-    ]
+    pairs = [("command", "check"), ("model", args.model), ("formula", format_formula(f))]
     if args.frame:
         rep = kripke.frame_report(m)
         pairs.append(("transitive", str(rep.transitive).lower()))
@@ -135,12 +131,7 @@ def _cmd_verify_fixpoint(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_refute(args: argparse.Namespace, out: TextIO) -> int:
     b = syntax.parse(_read_formula_arg(args.formula))
     rows = countermodel.refutation_table(b, args.k_max)
-    pairs = [
-        ("command", "refute"),
-        ("seed", str(args.seed)),
-        ("candidate", format_formula(b)),
-        ("k-max", str(args.k_max)),
-    ]
+    pairs = [("command", "refute"), ("candidate", format_formula(b)), ("k-max", str(args.k_max))]
     for row in rows:
         if row.valid:
             pairs.append((f"k.{row.k}", "satisfies-equation parity=even-worlds"))
@@ -224,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logic", choices=["qk-bot", "qgl-sigma"], required=True)
     p.add_argument("--n", type=int, default=None, help="height bound for qk-bot")
     p.add_argument("--hole", default="p")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=_cmd_fixpoint)
 
     p = subs.add_parser("check", help="evaluate a formula in a model file")
     p.add_argument("formula", help="formula text, or @path")
     p.add_argument("--model", required=True, help="model file path")
     p.add_argument("--frame", action="store_true", help="also report frame properties")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=_cmd_check)
 
     p = subs.add_parser("verify-fixpoint", help="recheck the fixed point equation over models")
@@ -241,13 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--max-domain", type=int, default=2)
     p.add_argument("--random", type=int, default=200, metavar="N")
-    _common_flags(p)
+    _format_flag(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_fixpoint)
 
     p = subs.add_parser("refute", help="search the chain models for a refutation")
     p.add_argument("formula", help="candidate sentence, or @path")
     p.add_argument("--k-max", type=int, default=8)
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=_cmd_refute)
 
     p = subs.add_parser("gen-model", help="emit a seeded random model file")

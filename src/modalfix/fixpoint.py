@@ -34,6 +34,7 @@ from .syntax import (
     NotNormalizedError,
     NotSigmaError,
     OutputTooLargeError,
+    PropVar,
     TRUE,
     _BUDGET,
     decompose_boolean_sigma,
@@ -41,7 +42,6 @@ from .syntax import (
     free_and_bound_vars,
     is_modalized,
     is_sigma,
-    occurrence_depths,
     prop_vars,
     subst_at_depths,
     subst_prop,
@@ -84,6 +84,27 @@ class FixpointTrace:
         return _report(pairs)
 
 
+def _deepest(f: Formula, hole: str) -> int:
+    """The greatest box depth of an occurrence of #hole in f. Each pair of
+    a subformula holding the hole and its depth is visited once, so a
+    shared DAG costs its size times its box depth, not its tree size."""
+    deepest = 0
+    seen: set[tuple[Formula, int]] = set()
+    todo = [(f, 0)]
+    while todo:
+        g, d = pair = todo.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        if type(g) is PropVar:
+            deepest = max(deepest, d)
+        d += type(g) is Box
+        for k in g._kids():
+            if hole in k._prop_vars:
+                todo.append((k, d))
+    return deepest
+
+
 def fixpoint_qk(target: FixpointTarget, n: int) -> FixpointTrace:
     """Fixed point of a modalized target valid at worlds of height <= n.
 
@@ -104,7 +125,7 @@ def fixpoint_qk(target: FixpointTarget, n: int) -> FixpointTrace:
     stages: list[Formula] = [subst_at_depths(truncate(f, 0), hole, [TRUE])]
     # The hole occurs no deeper than in f, so only the stages for depths
     # 1 .. deepest are passed, and a stage costs the same at every k.
-    deepest = max(occurrence_depths(f, hole))
+    deepest = _deepest(f, hole)
     for k in range(n):
         subs = [TRUE, *reversed(stages[-deepest:])]
         stages.append(subst_at_depths(truncate(f, k + 1), hole, subs))

@@ -766,27 +766,22 @@ def _chunks(tables: Iterable[tuple]) -> Iterator[list[tuple]]:
 # ---------------------------------------------------------------------------
 # Frame analysis
 
-def _heights(succ: Sequence[int], roots: Iterable[int]) -> Optional[dict[int, int]]:
-    # Heights of the worlds reachable from roots, by index into the
-    # successor masks succ, in depth-first finishing order, or None on a
-    # cycle. The path is an explicit stack, so long chains need no
-    # recursion depth.
+def _heights(succ: Sequence[int]) -> Optional[dict[int, int]]:
+    # Heights by index into the successor masks succ, in layers (Kahn's
+    # topological sort): each round, the worlds whose successors all have
+    # heights get the next one. So worlds come by ascending height, then
+    # index. A round that finds none while some are left means a cycle.
     heights: dict[int, int] = {}
-    for root in roots:
-        if root in heights:
-            continue
-        path = {root: _bits(succ[root])}  # each world on it, and its successors left
-        while path:
-            w = next(reversed(path))
-            for v in path[w]:
-                if v in path:
-                    return None
-                if v not in heights:
-                    path[v] = _bits(succ[v])
-                    break
-            else:
-                del path[w]
-                heights[w] = max([heights[v] + 1 for v in _bits(succ[w])], default=0)
+    left, done, h = range(len(succ)), 0, 0
+    while left:
+        pending = ~done
+        layer = [i for i in left if not succ[i] & pending]
+        if not layer:
+            return None
+        heights.update(dict.fromkeys(layer, h))
+        done |= sum(1 << i for i in layer)
+        left = [i for i in left if i not in heights]
+        h += 1
     return heights
 
 
@@ -821,15 +816,14 @@ def frame_report(m: KripkeModel) -> FrameReport:
 
     classes is drawn from FI (finite, transitive, irreflexive), FIFD (FI
     with finite domains), and FH (transitive with every world of finite
-    height). A cyclic frame has no heights and lies in none of them. An
+    height). heights lists the worlds by ascending height, then id; any
+    cycle makes it None and puts the frame in none of the classes. An
     edge with an end outside m.worlds raises EvalError.
     """
     index, succ = _successor_masks(m)
     transitive = _transitive(succ)
     irreflexive = not any(s >> i & 1 for i, s in enumerate(succ))
-    # Successors are visited in ascending order of id and roots in the
-    # order of m.worlds.
-    found = _heights(succ, (index[w] for w in m.worlds))
+    found = _heights(succ)
     ids = list(index)
     heights = None if found is None else {ids[i]: h for i, h in found.items()}
     cwf = heights is not None
@@ -1131,7 +1125,7 @@ def _candidate_rels(k: int, require: frozenset[str], max_height: Optional[int]) 
         if "transitive" in require and not _transitive(succ):
             continue
         if max_height is not None:
-            heights = _heights(succ, range(k))
+            heights = _heights(succ)
             if heights is None or max(heights.values()) > max_height:
                 continue
         out.append(frozenset((a, b) for a in range(k) for b in _bits(succ[a])))

@@ -24,9 +24,10 @@ one parsed before in the same call is jumped past and gets that group's
 node. So the printed stages, which repeat the same groups over and over,
 parse in time near their DAG size rather than their length.
 
-Domain constants (Const) never come from the surface grammar. They are
-injected by the model checking code, which instantiates quantifiers
-with elements of a world's domain.
+Domain constants (Const) never come from the surface grammar, and
+nothing in this package builds one: only callers of the API do. The
+model checker requires each constant of a sentence to lie in every
+world's domain.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ DEMOS = ROOT / "demos"
 # update its pin here, on purpose.
 PINNED = {
     "demo_bounded_fixpoints": "cd7db911b4ccd09d6f75f1c77d04ae9b",
-    "demo_cli": "3d508feceac7fc5d5e14f45594930aed",
+    "demo_cli": "45f8aa5e488cf3b8796cad6876687c2d",
     "demo_formulas": "81d3e246407d65d1274324542415f432",
     "demo_guarded_fixpoints": "877ba8843f506e9ec014e7567fed0b93",
     "demo_model_checking": "5f36dccb546a09ee141ecd2523536543",

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from modalfix import fixpoint
@@ -37,6 +44,7 @@ from modalfix.syntax import (
     subst_at_depths,
     subst_prop,
     subst_prop_map,
+    universal_closure,
 )
 
 WORKED = FixpointTarget(parse("box (#p -> forall u. (Q(u) -> box #p))"), "p")
@@ -84,6 +92,32 @@ def test_each_stage_gets_only_the_substituends_it_can_use(monkeypatch):
     trace = fixpoint_qk(FixpointTarget(parse("box (#p & box box #p)"), "p"), 40)
     assert given == [1, 2, 3] + [4] * 38
     assert len(trace.stages) == 41
+
+
+def test_fixpoint_qk_of_a_shared_dag_costs_its_dag_size():
+    # The target doubled 64 times with And(g, g): its tree has 2^64 copies
+    # of each leaf, its DAG 64 more nodes. The stages are built in another
+    # process, so that a walk over the tree times out instead of hanging.
+    code = textwrap.dedent("""
+        import pickle, sys
+        from modalfix.fixpoint import fixpoint_qk
+        from modalfix.syntax import And, FixpointTarget, parse
+        g = parse(sys.argv[1])
+        for _ in range(64):
+            g = And(g, g)
+        pickle.dump((g, fixpoint_qk(FixpointTarget(g, "p"), 4).stages), sys.stdout.buffer)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(fixpoint.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, "box (#p -> box P(u)) & box box ~#p"],
+                          capture_output=True, env=env, timeout=60, check=True)
+    f, stages = pickle.loads(proc.stdout)
+    r = stages[-1]
+    assert len(stages) == 5
+    # 346 distinct nodes.
+    assert fixpoint._dag_size([r]) <= 2 * 64 * (4 + 1)
+    pool = ModelPool(enumerate_models(3, 1, {"P": 1}, max_height=4))
+    assert len(pool.models) == 214
+    assert pool.masks([universal_closure(iff(r, subst_prop(f, "p", r)))]) == [pool.all_mask]
 
 
 def test_hole_free_target_is_its_own_fixed_point():

@@ -296,7 +296,7 @@ def test_frame_report_long_chain_needs_no_recursion_depth():
     r = frame_report(m)
     assert r.conversely_well_founded and not r.transitive and r.irreflexive
     assert r.frame_height == 1499
-    # Heights come in depth-first finishing order.
+    # Heights come by ascending height.
     assert list(r.heights.items()) == [(w, 1499 - w) for w in range(1499, -1, -1)]
     closed = dataclasses.replace(m, rel=m.rel | {(1499, 0)})
     assert frame_report(closed).heights is None
@@ -347,6 +347,7 @@ def _oracle_frame_report(worlds: tuple[int, ...], rel: frozenset[tuple[int, int]
 
 def test_frame_report_agrees_with_a_set_based_oracle():
     rng = random.Random(14)
+    frames = []
     for _ in range(400):
         worlds = tuple(rng.sample(range(-3, 50), rng.randint(1, 7)))
         if rng.random() < 0.5:
@@ -356,6 +357,16 @@ def test_frame_report_agrees_with_a_set_based_oracle():
                         if rng.random() < density and (a != b or rng.random() < 0.2))
         if rng.random() < 0.4:
             rel = _closure(rel)
+        frames.append((worlds, rel))
+    # World 0 reaches the 2-cycle of 1 and 2 without lying on it, and sees
+    # world 3, of height 0, besides.
+    frames.append(((0, 1, 2, 3), frozenset({(0, 1), (1, 2), (2, 1), (0, 3)})))
+    # Depth-first from world 0 first, worlds would finish as 3, 4, 0, 2, 1.
+    frames.append(((0, 1, 2, 3, 4), frozenset({(0, 4), (4, 3), (1, 2)})))
+    frames.append(((5, 2, 9), frozenset()))
+    frames.append(((2, 0, 3, 1), frozenset({(2, 3), (2, 1), (0, 1)})))
+    reports = []
+    for worlds, rel in frames:
         m = KripkeModel(worlds, rel, {w: frozenset({"a"}) for w in worlds}, {}, {})
         transitive, irreflexive, heights = _oracle_frame_report(worlds, rel)
         r = frame_report(m)
@@ -364,11 +375,14 @@ def test_frame_report_agrees_with_a_set_based_oracle():
         assert r.frame_height == (max(heights.values()) if heights else None)
         fi = ["FI", "FIFD"] if transitive and irreflexive else []
         assert r.classes == tuple(fi + (["FH"] if transitive and heights is not None else []))
-    # Depth-first from each world in the order of m.worlds, successors in
-    # ascending order of id; heights are listed as worlds finish.
-    rel = frozenset({(2, 3), (2, 1), (0, 1)})
-    m = KripkeModel((2, 0, 3, 1), rel, {w: frozenset({"a"}) for w in range(4)}, {}, {})
-    assert list(frame_report(m).heights.items()) == [(1, 0), (3, 0), (2, 1), (0, 1)]
+        reports.append(r)
+    # Heights are listed by ascending height, then id.
+    assert [None if r.heights is None else list(r.heights.items()) for r in reports[-4:]] == [
+        None,
+        [(2, 0), (3, 0), (1, 1), (4, 1), (0, 2)],
+        [(2, 0), (5, 0), (9, 0)],
+        [(1, 0), (3, 0), (0, 1), (2, 1)],
+    ]
 
 
 # ---------------------------------------------------------------------------
