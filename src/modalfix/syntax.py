@@ -18,11 +18,12 @@ pair once on an explicit stack, so only the parser and the printer
 recurse, and both raise TooDeepError when they run out of depth.
 format_formula prints each node once per required precedence within a
 call, and raises OutputTooLargeError before building a text longer than
-_BUDGET characters. parse takes the text in windows of tokens and parses
-a repeated parenthesized group once: a group whose text repeats that of
-one parsed before in the same call is jumped past and gets that group's
-node. So the printed stages, which repeat the same groups over and over,
-parse in time near their DAG size rather than their length.
+_BUDGET characters. parse reads the text one token at a time by offset
+and parses a repeated parenthesized group once: a group whose text
+repeats that of one parsed before in the same call is jumped past and
+gets that group's node. So the printed stages, which repeat the same
+groups over and over, parse in time near their DAG size rather than
+their length.
 
 Domain constants (Const) never come from the surface grammar, and
 nothing in this package builds one: only callers of the API do. The
@@ -36,8 +37,8 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, compress, count
-from operator import add, is_not
+from itertools import count
+from operator import is_not
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 
@@ -413,16 +414,13 @@ _KEYWORDS = frozenset({"true", "false", "box", "dia", "forall", "exists"})
 # Whitespace separates tokens and matches none.
 _TOKEN_RE = re.compile(r"<->|->|[()&|~.,#]|[A-Z][A-Za-z0-9_]*|[a-z][a-z0-9_]*")
 
-# Splits a text into the text between tokens, at the even indices, and the
-# tokens.
-_SPLIT_RE = re.compile(f"({_TOKEN_RE.pattern})")
+# The next token from an offset, past the whitespace before it; at the end
+# of the text, the empty token. \s matches exactly the characters that
+# str.split splits at.
+_NEXT_RE = re.compile(rf"\s*({_TOKEN_RE.pattern}|\Z)")
 
 # Binding strength of the binary connectives; only -> groups to the right.
 _BINARY = {"<->": 0, "->": 1, "|": 2, "&": 3}
-
-# The characters a window of the text spans at least: it ends at the first
-# "(" after them, as a group may repeat there and the parse jump past it.
-_WINDOW = 256
 
 # Characters of a group's text, from its "(", that key it with the offset
 # of its first ")".
@@ -431,10 +429,6 @@ _KEY_CHARS = 32
 # Groups of fewer tokens are not recorded: parsing one again costs about
 # what a lookup does.
 _KEY_TOKENS = 24
-
-# A window of the text: its tokens, offset and end, and the offsets of its
-# "(" and ")" tokens under their indices, once needed.
-_Window = tuple[list[str], int, int, dict[str, dict[int, int]]]
 
 # Marks a key under which groups of more than one text were recorded.
 _SHARED = (0, 0, TRUE)
@@ -460,11 +454,10 @@ def _close(text: str, at: int) -> int:
 
 
 class _Parser:
-    """One parse: the text; the window of it being parsed, its tokens
-    apart, the index of the current one and that of the window's last "("
-    (-1 if no group ending in the window is recorded); the arities seen;
-    and the groups recorded, under their keys or, where a key is shared,
-    under the length and hash of their text."""
+    """One parse: the text; the current token, its offset and the offset
+    past it; the number of tokens read; the arities seen; and the groups
+    recorded, under their keys or, where a key is shared, under the length
+    and hash of their text."""
 
     def __init__(self, text: str, sig: Optional[Mapping[str, int]]):
         self.text = text
@@ -472,46 +465,17 @@ class _Parser:
         self.arities: dict[str, int] = dict(sig) if sig else {}
         self.groups: dict[tuple[int, int], tuple[int, int, Formula]] = {}
         self.texts: dict[tuple[int, int], tuple[int, int, Formula]] = {}
-        self.seek(0, _WINDOW)
+        self.read = 0
+        self.move(0)
 
-    def seek(self, at: int, span: int) -> None:
-        """Parse on from the character offset at, through the first "("
-        at least span characters on, or to the end."""
-        text = self.text
-        end = len(text)
-        if at + span < end:
-            end = text.find("(", at + span) + 1 or end
-        window = text[at:end]
-        toks = _TOKEN_RE.findall(window)
-        # The tokens hold every character but whitespace (most often only
-        # spaces), or some other character is left between them.
-        rest = len(window) - len("".join(toks))
-        if rest != window.count(" ") and rest != len(window) - len("".join(window.split())):
+    def move(self, pos: int) -> None:
+        """Make the token at or after offset pos the current one."""
+        m = _NEXT_RE.match(self.text, pos)
+        if m is None:
             raise self.stray()
-        if end < len(text):
-            last_open = len(toks) - 1
-        else:
-            # The empty token ends the text. In a window of few tokens no
-            # group ending there is recorded.
-            toks.append("")
-            last_open = -1
-            if len(toks) > _KEY_TOKENS and "(" in toks:
-                last_open = len(toks) - 1 - toks[::-1].index("(")
-        self.toks, self.i, self.last_open, self.window = toks, 0, last_open, (toks, at, end, {})
-
-    def offset(self, window: _Window, i: int) -> int:
-        """The character offset of token i of a window."""
-        toks, start, end, parens = window
-        tok = toks[i]
-        if tok != "(" and tok != ")":
-            return start + sum(map(len, _SPLIT_RE.split(self.text[start:end])[:2 * i + 1]))
-        if tok not in parens:
-            # The n-th such token is the n-th such character: the text
-            # before it is n + 1 pieces of the window split at them, and n
-            # of them.
-            pieces = accumulate(map(len, self.text[start:end].split(tok)))
-            parens[tok] = dict(zip(compress(count(), map(tok.__eq__, toks)), map(add, pieces, count(start))))
-        return parens[tok][i]
+        self.tok = m[1]
+        self.at, self.end = m.span(1)
+        self.read += 1
 
     def stray(self) -> Optional[ParseError]:
         """The error at the first stray character of the text, if any: the
@@ -531,22 +495,18 @@ class _Parser:
         """The formula from here up to the first binary connective that
         binds less tightly than least: at 0 all of a parenthesis, at 4
         one unary formula."""
-        toks, i = self.toks, self.i
-        tok = toks[i]
-        self.i = i + 1
+        tok, at = self.tok, self.at
+        self.move(self.end)
         if tok == "(":
-            window = self.window
-            f = self.groups and self.repeat(self.offset(window, i))
+            f = self.groups and self.repeat(at)
             if not f:
-                if i + 1 == len(toks):
-                    self.seek(window[2], _WINDOW)
+                read = self.read
                 f = self.expr(0)
-                close = self.i
-                if self.toks[close] != ")":
-                    raise self.error(f"expected ')', found {self.toks[close]!r}", self.offset(self.window, close))
-                self.i = close + 1
-                if close < self.last_open and (toks is not self.toks or close - i >= _KEY_TOKENS):
-                    self.record(self.offset(window, i), self.offset(self.window, close) + 1, f)
+                if self.tok != ")":
+                    raise self.error(f"expected ')', found {self.tok!r}", self.at)
+                if self.read - read >= _KEY_TOKENS:
+                    self.record(at, self.end, f)
+                self.move(self.end)
         elif tok == "~":
             f = Not(self.expr(4))
         elif tok == "box":
@@ -564,15 +524,15 @@ class _Parser:
         elif tok == "false":
             f = FALSE
         elif tok[:1].isupper():
-            f = self.atom(tok)
+            f = self.atom(tok, at)
         else:
-            raise self.error(f"expected formula, found {tok!r}", self.offset(self.window, i))
+            raise self.error(f"expected formula, found {tok!r}", at)
         while True:
-            op = self.toks[self.i]
+            op = self.tok
             prec = _BINARY.get(op, -1)
             if prec < least:
                 return f
-            self.i += 1
+            self.move(self.end)
             g = self.expr(prec + (op != "->"))
             if op == "<->":
                 f = And(Implies(f, g), Implies(g, f))
@@ -591,9 +551,10 @@ class _Parser:
         if known:
             start, end, f = known
             if text.startswith(text[start:end], at):
-                # Text that follows a repeat tends to repeat too: parse on
-                # only to the next group.
-                self.seek(at + end - start, 0)
+                self.move(at + end - start)
+                # A repeat counts as _KEY_TOKENS tokens, no more than it
+                # has, so every group around it is recorded.
+                self.read += _KEY_TOKENS
                 return f
         return None
 
@@ -611,37 +572,34 @@ class _Parser:
             self.texts.setdefault((end - at, hash(text[at:end])), group)
 
     def expect(self, tok: str) -> None:
-        if self.toks[self.i] != tok:
-            raise self.error(f"expected {tok!r}, found {self.toks[self.i]!r}", self.offset(self.window, self.i))
-        self.i += 1
+        if self.tok != tok:
+            raise self.error(f"expected {tok!r}, found {self.tok!r}", self.at)
+        self.move(self.end)
 
     def variable(self, what: str) -> str:
-        tok = self.toks[self.i]
+        tok = self.tok
         if not tok.islower() or tok in _KEYWORDS:
-            raise self.error(f"expected {what}, found {tok!r}", self.offset(self.window, self.i))
-        self.i += 1
+            raise self.error(f"expected {what}, found {tok!r}", self.at)
+        self.move(self.end)
         return tok
 
-    def atom(self, pred: str) -> Formula:
-        at, window = self.i - 1, self.window
+    def atom(self, pred: str, at: int) -> Formula:
         names = []
-        if self.toks[self.i] == "(":
-            self.i += 1
-            if self.i == len(self.toks):
-                self.seek(window[2], _WINDOW)
+        if self.tok == "(":
+            self.move(self.end)
             names.append(self.variable("variable"))
-            while self.toks[self.i] == ",":
-                self.i += 1
+            while self.tok == ",":
+                self.move(self.end)
                 names.append(self.variable("variable"))
             self.expect(")")
         arity, known = len(names), self.arities.get(pred)
         if known is None:
             if self.strict:
-                raise self.error(f"unknown predicate {pred}", self.offset(window, at), UnknownPredicateError)
+                raise self.error(f"unknown predicate {pred}", at, UnknownPredicateError)
             self.arities[pred] = arity
         elif known != arity:
             message = f"predicate {pred} used with arity {arity}, expected {known}"
-            raise self.error(message, self.offset(window, at), ArityMismatchError)
+            raise self.error(message, at, ArityMismatchError)
         return Atom(pred, tuple(map(Var, names)))
 
 
@@ -656,9 +614,8 @@ def parse(text: str, sig: Optional[Mapping[str, int]] = None) -> Formula:
         f = p.expr(0)
     except RecursionError:
         raise p.stray() or TooDeepError("formula nests too deeply to parse") from None
-    tok = p.toks[p.i]
-    if tok:
-        raise p.error(f"unexpected trailing input {tok!r}", p.offset(p.window, p.i))
+    if p.tok:
+        raise p.error(f"unexpected trailing input {p.tok!r}", p.at)
     return f
 
 

@@ -128,12 +128,29 @@ def test_a_repeated_group_parses_to_one_node(f: Formula):
     assert parse(f"{group} & {group}") is And(f, f)
 
 
+# Runs of whitespace, from some of the characters str.split splits at.
+WHITESPACE = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000", min_size=1, max_size=3)
+
+
+@given(formulas(), st.data())
+def test_any_whitespace_between_tokens_parses(f: Formula, data):
+    # Each space of the printed text becomes a drawn run of whitespace.
+    # Two copies of a group that differ in their whitespace are parsed
+    # each on its own, as neither repeats the other's text.
+    def spaced() -> str:
+        first, *rest = format_formula(f).split(" ")
+        return first + "".join(data.draw(WHITESPACE) + p for p in rest)
+
+    assert parse(spaced()) is f
+    assert parse(f"({spaced()}) & ({spaced()})") is And(f, f)
+
+
 # The tokens, as a stray character is defined by: whitespace separates
 # them, and any other character that no token takes is stray.
 TOKEN = re.compile(r"<->|->|[()&|~.,#]|[A-Z][A-Za-z0-9_]*|[a-z][a-z0-9_]*")
 
 
-@given(st.text(alphabet="PQuv09_(),.#&|~<->é\xa0\t ", max_size=30))
+@given(st.text(alphabet="PQuv09_(),.#&|~<->é\xa0\t \n\r\x0b\x0c\x1c\x85\u2003\u3000\u200b", max_size=30))
 def test_the_first_stray_character_is_reported(text: str):
     blanked = TOKEN.sub(lambda m: " " * len(m[0]), text)
     at = len(blanked) - len(blanked.lstrip())
@@ -666,8 +683,10 @@ def faulty_models(draw) -> tuple[KripkeModel, list[tuple]]:
             "no domain": (set(), {w: None}, {}, {}),
             "empty domain": (set(), {w: frozenset()}, {}, {}),
             "stray domain": (set(), {n + v % 2: frozenset({"a"})}, {}, {}),
-            # w gains a constant that a world it sees lacks.
-            "shrink": ({(w, (w + 1 + v % (n - 1)) % n if n > 1 else n)}, {w: dom | {"z"}}, {}, {}),
+            # w gains a constant that a world it sees lacks. The constant
+            # is w's own, so that two shrinks along a cycle do not give
+            # both worlds the same one and cancel.
+            "shrink": ({(w, (w + 1 + v % (n - 1)) % n if n > 1 else n)}, {w: dom | {f"z{w}"}}, {}, {}),
             "fact world": (set(), {}, {(n, "P"): frozenset({("a",)})}, {}),
             "undeclared": (set(), {}, {(w, "T"): frozenset({("a",)})}, {}),
             "arity": (set(), {}, {(w, "P"): facts | {("a", "a")}}, {}),

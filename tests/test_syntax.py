@@ -132,6 +132,9 @@ def test_parse_errors_carry_position():
 # A parenthesized group of 26 tokens.
 GROUP = "(P(u) & Q(u) | box ~R -> forall v. P(v) & #p)"
 
+# A parenthesized group of 309 characters.
+LONG = "(" + " & ".join(f"(P(u) | box ~Q{i})" for i in range(16)) + ")"
+
 # Malformed inputs with the error class and message, position included,
 # that the parser gave before its rewrite as one precedence-climbing
 # function. Together they reach every error the parser raises.
@@ -196,6 +199,13 @@ PARSE_ERRORS = [
      'unknown predicate S (at position 90)'),
     (f'{GROUP} & box {GROUP} | {GROUP[:-1]} & #q)) & {GROUP[:12]}', None, ParseError,
      "unexpected trailing input ')' (at position 150)"),
+    # The same with a group of 309 characters, repeated.
+    (f'{LONG} & {LONG} $', None, ParseError, "unexpected character '$' (at position 622)"),
+    (f'{LONG} & {LONG})', None, ParseError, "unexpected trailing input ')' (at position 621)"),
+    (f'{LONG} & {LONG[:-1]}', None, ParseError, "expected ')', found '' (at position 620)"),
+    (f'{LONG} & {LONG[:40]}P(u, v){LONG[44:]}', None, ArityMismatchError,
+     'predicate P used with arity 2, expected 1 (at position 352)'),
+    (f'{LONG} & {LONG} & #p #q', None, ParseError, "unexpected trailing input '#' (at position 627)"),
 ]
 
 
@@ -618,9 +628,7 @@ def _self_calls_in(module) -> set[str]:
 def test_only_the_parser_and_the_printer_recurse():
     # Every rewrite goes through _rebuild's explicit stack; the parser and
     # the printer map RecursionError to TooDeepError.
-    found = _self_calls_in(syntax)
-    assert "_Parser.expr" in found
-    assert found <= {"_Parser.expr", "_Parser.atom", "_Unary._print", "_Binary._print"}
+    assert _self_calls_in(syntax) == {"_Parser.expr", "_Unary._print", "_Binary._print"}
     # The guarded construction, its reports and the CLI run on explicit
     # stacks and loops, and so does the model checker: only the reference
     # evaluator recurses.
