@@ -51,6 +51,7 @@ def _cmd_fixpoint(args: argparse.Namespace, out: TextIO) -> int:
     if args.logic == "qk-bot":
         if args.n is None:
             raise ValueError("--n is required for qk-bot")
+        fixpoint._check_stage_keys(args.n)
         trace = fixpoint.fixpoint_qk(target, args.n)
         pairs += trace.report_lines()
     else:

@@ -2,10 +2,11 @@
 
 Two constructions are implemented. The staged construction fixpoint_qk
 works for any modalized formula but only up to a bounded accessibility
-height: stage k is built by truncating the target below box depth k and
-substituting the earlier stages for the hole, depth by depth. Its
-result is a fixed point of the target in every model whose chains from
-the evaluation world have length at most n.
+height: stage k is one rewrite of the target, which truncates it at box
+depth k and puts the earlier stages in the hole, depth by depth, and
+visits each pair of a subformula and its depth once. Its result is a
+fixed point of the target in every model whose chains from the
+evaluation world have length at most n.
 
 The guarded construction sigma_fixpoint and its extensions work on
 transitive frames without bound, for targets whose hole only occurs
@@ -37,10 +38,11 @@ from .syntax import (
     PropVar,
     TRUE,
     _BUDGET,
+    _box_depth,
+    _rebuild,
     decompose_boolean_sigma,
     format_formula,
     free_and_bound_vars,
-    is_modalized,
     is_sigma,
     prop_vars,
     subst_at_depths,
@@ -68,6 +70,18 @@ def _report(pairs: list[tuple[str, str | Formula]]) -> list[tuple[str, str]]:
     return [(key, v if isinstance(v, str) else format_formula(v)) for key, v in pairs]
 
 
+def _check_stage_keys(n: int) -> None:
+    """Refuse, before any stage is built, an n whose report would pass
+    _BUDGET characters on its keys stage.0 .. stage.n alone, each stage
+    printing at least one character."""
+    size = 0
+    for digits in range(1, len(str(n)) + 1):
+        count = min(n + 1, 10**digits) - (digits > 1) * 10 ** (digits - 1)
+        size += count * (len("stage.") + digits + 1)
+    if size > _BUDGET:
+        raise OutputTooLargeError(f"report of {n + 1} stages would have at least {size} characters, over 10^7")
+
+
 @dataclass(frozen=True)
 class FixpointTrace:
     """Stages of the bounded height construction, stage k solving height k."""
@@ -84,34 +98,15 @@ class FixpointTrace:
         return _report(pairs)
 
 
-def _deepest(f: Formula, hole: str) -> int:
-    """The greatest box depth of an occurrence of #hole in f. Each pair of
-    a subformula holding the hole and its depth is visited once, so a
-    shared DAG costs its size times its box depth, not its tree size."""
-    deepest = 0
-    seen: set[tuple[Formula, int]] = set()
-    todo = [(f, 0)]
-    while todo:
-        g, d = pair = todo.pop()
-        if pair in seen:
-            continue
-        seen.add(pair)
-        if type(g) is PropVar:
-            deepest = max(deepest, d)
-        d += type(g) is Box
-        for k in g._kids():
-            if hole in k._prop_vars:
-                todo.append((k, d))
-    return deepest
-
-
 def fixpoint_qk(target: FixpointTarget, n: int) -> FixpointTrace:
     """Fixed point of a modalized target valid at worlds of height <= n.
 
-    Stage 0 truncates every box at depth 0 to true; stage k+1 truncates
-    at depth k+1 and substitutes true, stage k, ..., stage 0 for the
-    hole at depths 0, 1, ..., k+1. A target without the hole is its own
-    fixed point and is returned unchanged at every stage.
+    Stage 0 truncates every box at depth 0 to true; stage k is one
+    rewrite of the target that truncates every box at depth k to true
+    and puts stage k - d in the hole at each depth d from 1 to k. The
+    rewrite visits each pair of a subformula and its depth once, so a
+    stage costs the same at every k. A target without the hole is its
+    own fixed point and is returned unchanged at every stage.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -119,16 +114,21 @@ def fixpoint_qk(target: FixpointTarget, n: int) -> FixpointTrace:
     if hole not in prop_vars(f):
         stages = (f,) * (n + 1)
         return FixpointTrace(target, n, stages, f)
-    if not is_modalized(f, hole):
+    stages = [truncate(f, 0)]
+    if hole in prop_vars(stages[0]):
         raise NotModalizedError(f"#{hole} occurs outside every box in {format_formula(f)}")
+    # Past this check no free variable of f is bound in f. A stage's free
+    # variables are f's, so putting a stage in the hole captures nothing.
     _check_normalized(f)
-    stages: list[Formula] = [subst_at_depths(truncate(f, 0), hole, [TRUE])]
-    # The hole occurs no deeper than in f, so only the stages for depths
-    # 1 .. deepest are passed, and a stage costs the same at every k.
-    deepest = _deepest(f, hole)
-    for k in range(n):
-        subs = [TRUE, *reversed(stages[-deepest:])]
-        stages.append(subst_at_depths(truncate(f, k + 1), hole, subs))
+    hole_var = PropVar(hole)
+    for k in range(1, n + 1):
+
+        def leaf(g: Formula, d: int) -> Formula | None:
+            if g is hole_var:
+                return stages[k - d]
+            return TRUE if d == k and type(g) is Box else None
+
+        stages.append(_rebuild(f, 0, leaf, _box_depth))
     return FixpointTrace(target, n, tuple(stages), stages[n])
 
 

@@ -130,10 +130,10 @@ class KripkeModel:
 
     @cached_property
     def _succ(self) -> dict[int, tuple[int, ...]]:
-        table: dict[int, tuple[int, ...]] = {w: () for w in self.worlds}
-        for a, b in sorted(self.rel):
-            table[a] = table[a] + (b,)
-        return table
+        table: dict[int, list[int]] = {w: [] for w in self.worlds}
+        for a, b in self.rel:
+            table[a].append(b)
+        return {w: tuple(sorted(succ)) for w, succ in table.items()}
 
     @cached_property
     def _dom_sorted(self) -> dict[int, tuple[str, ...]]:

@@ -12,7 +12,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modalfix import cli, kripke
+from modalfix import cli, fixpoint, kripke
 from modalfix.countermodel import chain_model
 from modalfix.kripke import (
     KripkeModel,
@@ -150,6 +150,20 @@ def test_fixpoint_over_the_print_budget_is_one_error_line(capsys):
         assert err.startswith("error: bound-explosion: ")
         assert err.count("\n") == 1
         assert out.getvalue() == ""
+
+
+def test_fixpoint_whose_stage_keys_pass_the_budget_builds_no_stage(capsys, monkeypatch):
+    # The keys stage.0 .. stage.2000000 alone have over 10^7 characters.
+    def no_stages(target, n):
+        raise AssertionError("a stage was built")
+
+    monkeypatch.setattr(fixpoint, "fixpoint_qk", no_stages)
+    out = io.StringIO()
+    code = cli.main(["fixpoint", "~box #p", "--logic", "qk-bot", "--n", "2000000"], out)
+    err = capsys.readouterr().err
+    assert (code, out.getvalue()) == (1, "")
+    assert err == ("error: bound-explosion: report of 2000001 stages would have at least "
+                   "26888904 characters, over 10^7\n")
 
 
 def test_guarded_fixpoint_over_the_print_budget_is_one_error_line(capsys):

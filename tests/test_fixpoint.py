@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from modalfix import fixpoint
+from modalfix import fixpoint, syntax
 from modalfix.fixpoint import (
     FixpointTrace,
     b_n_transform,
@@ -44,8 +44,10 @@ from modalfix.syntax import (
     subst_at_depths,
     subst_prop,
     subst_prop_map,
+    truncate,
     universal_closure,
 )
+from test_acceptance import TARGETS
 
 WORKED = FixpointTarget(parse("box (#p -> forall u. (Q(u) -> box #p))"), "p")
 
@@ -79,19 +81,37 @@ def test_negated_box_stages():
     assert fixpoint_qk(target, 2).result == parse("~box ~box ~true")
 
 
-def test_each_stage_gets_only_the_substituends_it_can_use(monkeypatch):
-    # The hole lies at depths 1 and 3, so no stage takes more than 4
-    # substituends, however large n is: the stages cost linear time in n.
-    given = []
+def test_each_stage_is_one_rewrite_whose_work_does_not_grow_with_k(monkeypatch):
+    # The hole lies at depths 1 and 3 and no box deeper than 2, so from
+    # stage 3 on each rewrite visits the same pairs of a subformula and
+    # its depth, however large n is: the stages cost linear time in n.
+    leaf_calls = []
 
-    def counting(f, hole, subs):
-        given.append(len(subs))
-        return subst_at_depths(f, hole, subs)
+    def counting(f, c, leaf, enter):
+        leaf_calls.append(0)
 
-    monkeypatch.setattr(fixpoint, "subst_at_depths", counting)
+        def counted(g, d):
+            leaf_calls[-1] += 1
+            return leaf(g, d)
+
+        return syntax._rebuild(f, c, counted, enter)
+
+    monkeypatch.setattr(fixpoint, "_rebuild", counting)
     trace = fixpoint_qk(FixpointTarget(parse("box (#p & box box #p)"), "p"), 40)
-    assert given == [1, 2, 3] + [4] * 38
     assert len(trace.stages) == 41
+    # Stages 1 .. 40, one rewrite each; stage 0 is truncate(f, 0).
+    assert len(leaf_calls) == 40
+    assert leaf_calls[0] < leaf_calls[1] < leaf_calls[2]
+    assert leaf_calls[2:] == [leaf_calls[2]] * 38
+
+
+def test_each_stage_is_the_truncation_with_the_earlier_stages_substituted():
+    for text in TARGETS:
+        f = parse(text)
+        stages = fixpoint_qk(FixpointTarget(f, "p"), 8).stages
+        for k, stage in enumerate(stages):
+            assert fixpoint_qk(FixpointTarget(f, "p"), k).stages == stages[:k + 1]
+            assert stage is subst_at_depths(truncate(f, k), "p", [TRUE, *reversed(stages[:k])])
 
 
 def test_fixpoint_qk_of_a_shared_dag_costs_its_dag_size():
@@ -146,6 +166,18 @@ def test_trace_report_lines():
         ("stage.1", "~box ~true"),
         ("result", "~box ~true"),
     ]
+
+
+def test_stage_keys_are_refused_exactly_when_they_pass_the_budget():
+    # From n = 777777 the keys stage.0 .. stage.n, with one character
+    # each for the stages, have over 10^7 characters.
+    size = sum(len(f"stage.{k}") + 1 for k in range(777777))
+    assert size <= 10**7 < size + len("stage.777777") + 1
+    for n in (0, 9, 10, 99, 100, 777776):
+        fixpoint._check_stage_keys(n)
+    for n in (777777, 10**9):
+        with pytest.raises(OutputTooLargeError, match=f"report of {n + 1} stages"):
+            fixpoint._check_stage_keys(n)
 
 
 def test_b_n_transform():

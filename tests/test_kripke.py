@@ -70,6 +70,16 @@ def test_validate_reports_violations():
     assert validate_model(KripkeModel((), frozenset(), {}, {}, {})) != []
 
 
+def test_successors_are_built_once_per_world_in_order():
+    # 320,400 edges: one tuple per world, not one per edge.
+    m = chain_model(800)
+    assert m.successors(800) == tuple(range(800))
+    assert m.successors(0) == ()
+    with pytest.raises(KeyError) as e:
+        KripkeModel((0,), frozenset({(0, 0), (5, 0)}), {0: frozenset({"a"})}, {}).successors(0)
+    assert e.value.args == (5,)
+
+
 def test_replace_gives_a_model_with_cold_caches():
     m = two_chain()
     assert m.successors(1) == (0,)
